@@ -21,21 +21,23 @@ Config format, one section per scenario plus an optional [global] section:
 Scenario keys: p, n, cov, rho (ar/block only), estimators, theta_norms,
 theta_direction, replicates, seed. Estimator tokens are `usual`, `js` and
 `js+`, each optionally with an explicit constant as in `js:0.5` (the default
-constant is the midpoint of the admissible interval). Unknown keys are
-rejected with their line number.
+constant is the midpoint of the admissible interval). Unknown keys,
+duplicate estimator labels and non-finite numbers are rejected with their
+line number.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import identities, risk, svgchart
-from .estimators import JamesStein, PositivePartJS, Usual, js_default_constant
+from .estimators import JamesStein, PositivePartJS, Usual, check_unique_labels, js_default_constant
 from .randgen import Autoregressive, BlockDiagonal, Identity, Spiked
 
 CSV_HEADER = "scenario,p,n,cov_model,estimator,theta_norm,replicates,risk,std_err"
@@ -132,38 +134,38 @@ def _parse_floats(value: str, field: str, line: int) -> list[float]:
             out.append(float(tok))
         except ValueError:
             raise ConfigError(f"{field}: expected a number, got {tok!r}", line) from None
+        if not math.isfinite(out[-1]):
+            raise ConfigError(f"{field}: expected a finite number, got {tok!r}", line)
     return out
 
 
-def _parse_estimators(value: str, p: int, n: int, line: int) -> list:
-    specs = []
-    for tok in value.split(","):
-        tok = tok.strip()
-        if not tok:
-            raise ConfigError("estimators: empty entry in list", line)
-        base, _, arg = tok.partition(":")
-        constant = None
+def _parse_estimator(tok: str, p: int, n: int):
+    """One estimator token; every problem is a ValueError."""
+    base, _, arg = tok.partition(":")
+    if not tok:
+        raise ValueError("empty entry in list")
+    if base == "usual":
         if arg:
-            try:
-                constant = float(arg)
-            except ValueError:
-                raise ConfigError(
-                    f"estimators: bad constant in {tok!r}", line
-                ) from None
-        if base == "usual":
-            if constant is not None:
-                raise ConfigError("estimators: 'usual' takes no constant", line)
-            specs.append(Usual())
-        elif base == "js":
-            specs.append(JamesStein(constant if constant is not None else js_default_constant(p, n)))
-        elif base == "js+":
-            specs.append(
-                PositivePartJS(constant if constant is not None else js_default_constant(p, n))
-            )
-        else:
-            raise ConfigError(
-                f"estimators: unknown estimator {tok!r} (use usual, js, js+)", line
-            )
+            raise ValueError("'usual' takes no constant")
+        return Usual()
+    if base not in ("js", "js+"):
+        raise ValueError(f"unknown estimator {tok!r} (use usual, js, js+)")
+    build = JamesStein if base == "js" else PositivePartJS
+    if not arg:
+        return build(js_default_constant(p, n))
+    try:
+        constant = float(arg)
+    except ValueError:
+        raise ValueError(f"bad constant in {tok!r}") from None
+    return build(constant)
+
+
+def _parse_estimators(value: str, p: int, n: int, line: int) -> list:
+    try:
+        specs = [_parse_estimator(tok.strip(), p, n) for tok in value.split(",")]
+        check_unique_labels(specs)
+    except ValueError as exc:
+        raise ConfigError(f"estimators: {exc}", line) from None
     return specs
 
 

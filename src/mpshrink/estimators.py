@@ -10,8 +10,9 @@ gives its positive-part variant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -33,27 +34,39 @@ class DegenerateFError(ValueError):
 
 @dataclass(frozen=True)
 class ShrinkageFunction:
-    """A scalar shrinkage curve r with its derivative and declared bounds.
+    """A shrinkage curve r with its derivative and declared bounds.
 
-    value_bound is the constant C1 with 0 <= r <= C1; deriv_bound is C2 with
-    |r'| <= C2. The domination conditions are checked against these.
+    value and deriv take a float or an array of F values and return the
+    same shape; the engines evaluate them on whole chunks at once, so a
+    custom curve must be written with numpy operations (np.minimum,
+    np.where) rather than Python branches. value_bound is the constant C1
+    with 0 <= r <= C1; deriv_bound is C2 with |r'| <= C2. The domination
+    conditions are checked against these.
     """
 
-    value: Callable[[float], float]
-    deriv: Callable[[float], float]
+    value: Callable
+    deriv: Callable
     value_bound: float
     deriv_bound: float
 
-    def __call__(self, t: float) -> float:
+    def __call__(self, t):
         return self.value(t)
+
+
+def _checked_constant(a) -> float:
+    if not (math.isfinite(a) and a >= 0):
+        raise ValueError(f"shrinkage constant must be finite and nonnegative, got {a}")
+    return float(a)
 
 
 def constant_shrinkage(a: float) -> ShrinkageFunction:
     """r(t) = a, the James-Stein choice."""
-    if a < 0:
-        raise ValueError(f"shrinkage constant must be nonnegative, got {a}")
+    a = _checked_constant(a)
     return ShrinkageFunction(
-        value=lambda t: a, deriv=lambda t: 0.0, value_bound=a, deriv_bound=0.0
+        value=lambda t: np.full(np.shape(t), a),
+        deriv=lambda t: np.zeros(np.shape(t)),
+        value_bound=a,
+        deriv_bound=0.0,
     )
 
 
@@ -63,77 +76,59 @@ def positive_part_shrinkage(a: float) -> ShrinkageFunction:
     1 - min(a, F)/F equals max(1 - a/F, 0) exactly, including the clamp at
     zero. The derivative at the kink t = a is taken as 0.
     """
-    if a < 0:
-        raise ValueError(f"shrinkage constant must be nonnegative, got {a}")
+    a = _checked_constant(a)
     return ShrinkageFunction(
-        value=lambda t: min(a, t),
-        deriv=lambda t: 1.0 if t < a else 0.0,
+        value=lambda t: np.minimum(a, t),
+        deriv=lambda t: np.where(np.less(t, a), 1.0, 0.0),
         value_bound=a,
         deriv_bound=1.0,
     )
 
 
 @dataclass(frozen=True)
-class Usual:
-    """The unshrunk estimator delta(X) = X."""
+class Estimator:
+    """delta_r = (I - r(F) SS+ / F) X for a shrinkage curve r.
 
+    label names the estimator in result tables and must be unique within a
+    scenario. Usual, JamesStein, PositivePartJS and Baranchik build the
+    standard members of the family.
+    """
 
-@dataclass(frozen=True)
-class JamesStein:
-    """delta = (I - a SS+ / F) X."""
-
-    a: float
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"James-Stein constant must be nonnegative, got {self.a}")
-
-
-@dataclass(frozen=True)
-class PositivePartJS:
-    """James-Stein with the shrink factor clamped at zero."""
-
-    a: float
-
-    def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"James-Stein constant must be nonnegative, got {self.a}")
-
-
-@dataclass(frozen=True)
-class Baranchik:
-    """delta = (I - r(F) SS+ / F) X for a general shrinkage curve r."""
-
+    label: str
     r: ShrinkageFunction
 
 
-EstimatorSpec = Union[Usual, JamesStein, PositivePartJS, Baranchik]
+def Usual() -> Estimator:
+    """The unshrunk estimator delta(X) = X, i.e. r = 0."""
+    return Estimator("usual", constant_shrinkage(0.0))
 
 
-def shrinkage_of(spec: EstimatorSpec) -> ShrinkageFunction:
-    """The curve r a spec applies inside delta = (I - r(F) SS+ / F) X."""
-    if isinstance(spec, Usual):
-        return constant_shrinkage(0.0)
-    if isinstance(spec, JamesStein):
-        return constant_shrinkage(spec.a)
-    if isinstance(spec, PositivePartJS):
-        return positive_part_shrinkage(spec.a)
-    if isinstance(spec, Baranchik):
-        return spec.r
-    raise TypeError(f"unknown estimator spec: {spec!r}")
+def JamesStein(a: float) -> Estimator:
+    """delta = (I - a SS+ / F) X."""
+    return Estimator(f"js({a:.6g})", constant_shrinkage(a))
 
 
-def estimator_label(spec: EstimatorSpec) -> str:
+def PositivePartJS(a: float) -> Estimator:
+    """James-Stein with the shrink factor clamped at zero."""
+    return Estimator(f"js+({a:.6g})", positive_part_shrinkage(a))
+
+
+def Baranchik(r: ShrinkageFunction) -> Estimator:
+    """delta = (I - r(F) SS+ / F) X for a general shrinkage curve r."""
+    return Estimator("baranchik", r)
+
+
+def estimator_label(spec: Estimator) -> str:
     """Short stable name used in result tables."""
-    if isinstance(spec, Usual):
-        return "usual"
-    if isinstance(spec, JamesStein):
-        return f"js({spec.a:.6g})"
-    if isinstance(spec, PositivePartJS):
-        return f"js+({spec.a:.6g})"
-    if isinstance(spec, Baranchik):
-        return "baranchik"
-    raise TypeError(f"unknown estimator spec: {spec!r}")
+    return spec.label
+
+
+def check_unique_labels(specs) -> None:
+    """Raise ValueError naming the first label that two estimators share."""
+    labels = [spec.label for spec in specs]
+    for i, label in enumerate(labels):
+        if label in labels[:i]:
+            raise ValueError(f"duplicate estimator label {label!r}")
 
 
 def f_degenerate(f, x_sq, rank, psx_norm, lam_max_pinv):
@@ -152,27 +147,23 @@ def f_degenerate(f, x_sq, rank, psx_norm, lam_max_pinv):
 
 
 @dataclass(frozen=True, eq=False)
-class EstimateOutput:
-    """delta plus the shrinkage diagnostics of a single evaluation.
+class PinvGeometry:
+    """x seen through the pseudoinverse of S: F = x'S+x, S+x, P_S x, the
+    pseudoinverse itself and the degeneracy verdict of f_degenerate."""
 
-    shrink_factor multiplies the column-space component of x, so
-    delta = (I - P_S) x + shrink_factor * P_S x. degenerate marks draws where
-    F was too small and x was returned unshrunk.
-    """
-
-    delta: np.ndarray
-    shrink_factor: float
-    f_value: float
-    rank: int
-    degenerate: bool = False
+    x: np.ndarray
+    pr: linalg.PseudoinverseResult
+    spx: np.ndarray
+    psx: np.ndarray
+    f: float
+    degenerate: bool
 
 
-def estimate(spec: EstimatorSpec, x, s, rel_tol: float | None = None) -> EstimateOutput:
-    """Evaluate an estimator at observation x with Wishart matrix s.
+def pinv_geometry(x, s, rel_tol: float | None = None) -> PinvGeometry:
+    """Decompose s once and derive everything the scalar estimators need.
 
-    s must be symmetric PSD; its pseudoinverse, rank and projector come from
-    linalg.pseudo_inverse with the given cutoff. F at or below the degeneracy
-    threshold returns x unshrunk with degenerate=True.
+    lambda_max(S+) for the degeneracy rule is 1 / the smallest retained
+    eigenvalue of s, read off the same decomposition.
     """
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1:
@@ -186,32 +177,43 @@ def estimate(spec: EstimatorSpec, x, s, rel_tol: float | None = None) -> Estimat
     spx = pr.pinv @ xv
     psx = pr.projector @ xv
     f = float(xv @ spx)
-    if isinstance(spec, Usual):
-        return EstimateOutput(
-            delta=xv.copy(), shrink_factor=1.0, f_value=f, rank=pr.rank
-        )
     lam_max_pinv = 1.0 / dec.eigenvalues[pr.rank - 1] if pr.rank > 0 else 0.0
     degenerate = bool(
-        f_degenerate(
-            f,
-            float(xv @ xv),
-            pr.rank,
-            float(np.linalg.norm(psx)),
-            lam_max_pinv,
-        )
+        f_degenerate(f, float(xv @ xv), pr.rank, float(np.linalg.norm(psx)), lam_max_pinv)
     )
-    if degenerate:
-        return EstimateOutput(
-            delta=xv.copy(),
-            shrink_factor=1.0,
-            f_value=f,
-            rank=pr.rank,
-            degenerate=True,
-        )
-    r = shrinkage_of(spec)
-    sf = 1.0 - r(f) / f
-    delta = xv + (sf - 1.0) * psx
-    return EstimateOutput(delta=delta, shrink_factor=sf, f_value=f, rank=pr.rank)
+    return PinvGeometry(x=xv, pr=pr, spx=spx, psx=psx, f=f, degenerate=degenerate)
+
+
+@dataclass(frozen=True, eq=False)
+class EstimateOutput:
+    """delta plus the shrinkage diagnostics of a single evaluation.
+
+    shrink_factor multiplies the column-space component of x, so
+    delta = (I - P_S) x + shrink_factor * P_S x. degenerate marks draws where
+    F was too small and a shrinking estimator returned x unshrunk.
+    """
+
+    delta: np.ndarray
+    shrink_factor: float
+    f_value: float
+    rank: int
+    degenerate: bool = False
+
+
+def estimate(spec: Estimator, x, s, rel_tol: float | None = None) -> EstimateOutput:
+    """Evaluate an estimator at observation x with Wishart matrix s.
+
+    s must be symmetric PSD; its pseudoinverse, rank and projector come from
+    linalg.pseudo_inverse with the given cutoff. F at or below the degeneracy
+    threshold returns x unshrunk with degenerate=True; a curve with
+    value_bound 0 never shrinks, so it returns x and is never degenerate.
+    """
+    g = pinv_geometry(x, s, rel_tol)
+    shrinks = spec.r.value_bound > 0
+    if g.degenerate or not shrinks:
+        return EstimateOutput(g.x.copy(), 1.0, g.f, g.pr.rank, g.degenerate and shrinks)
+    sf = float(1.0 - spec.r(g.f) / g.f)
+    return EstimateOutput(g.x + (sf - 1.0) * g.psx, sf, g.f, g.pr.rank)
 
 
 def _usable_min_dim(p: int, n: int) -> int:
@@ -274,8 +276,8 @@ def check_r_conditions(
         raise ValueError("grid points must be nonnegative")
     pts = np.sort(pts)
     bound = domination_bound(p, n)
-    values = np.array([r(t) for t in pts])
-    derivs = np.array([r.deriv(t) for t in pts])
+    values = np.asarray(r.value(pts), dtype=float)
+    derivs = np.asarray(r.deriv(pts), dtype=float)
     range_ok = bool(np.all(values >= 0.0) and np.all(values <= bound))
     nondecreasing = bool(np.all(np.diff(values) >= -1e-12))
     deriv_bounded = bool(np.all(np.abs(derivs) <= r.deriv_bound))

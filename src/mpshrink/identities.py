@@ -19,11 +19,11 @@ import numpy as np
 from . import linalg, randgen
 from .estimators import (
     Baranchik,
-    EstimatorSpec,
+    Estimator,
     ShrinkageFunction,
     constant_shrinkage,
     f_degenerate,
-    shrinkage_of,
+    pinv_geometry,
 )
 
 CHUNK = 2048
@@ -71,47 +71,6 @@ def _report(name: str, analytic, oracle, tolerance: float) -> IdentityReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# fixed-rank pseudoinverse scaffolding
-
-
-@dataclass(frozen=True, eq=False)
-class FixedRankPinv:
-    pinv: np.ndarray
-    projector: np.ndarray
-    complement: np.ndarray
-
-
-def pinv_fixed_rank(s, rank: int) -> FixedRankPinv:
-    """Pseudoinverse inverting exactly the `rank` largest eigenvalues.
-
-    Finite differences perturb Y while the analytic formulas assume locally
-    constant rank; locking the rank keeps the eigenvalue cutoff from
-    flipping between the two perturbed evaluations. At full rank the
-    projector is exactly I, so terms built from the complement vanish
-    exactly rather than to rounding.
-    """
-    dec = linalg.sym_eigen(s)
-    p = dec.dim
-    if not 0 <= rank <= p:
-        raise ValueError(f"rank must lie in [0, {p}], got {rank}")
-    if rank == p:
-        projector = np.eye(p)
-        complement = np.zeros((p, p))
-    elif rank == 0:
-        projector = np.zeros((p, p))
-        complement = np.eye(p)
-    else:
-        vk = dec.eigenvectors[:, :rank]
-        projector = vk @ vk.T
-        projector = (projector + projector.T) / 2.0
-        complement = np.eye(p) - projector
-    inv_w = np.zeros(p)
-    inv_w[:rank] = 1.0 / dec.eigenvalues[:rank]
-    pinv = (dec.eigenvectors * inv_w) @ dec.eigenvectors.T
-    return FixedRankPinv(pinv=(pinv + pinv.T) / 2.0, projector=projector, complement=complement)
-
-
 def _checked_xy(x, y):
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 2:
@@ -130,7 +89,15 @@ def _checked_index(y: np.ndarray, alpha: int, beta: int) -> None:
         raise IndexError(f"(alpha, beta) = ({alpha}, {beta}) outside a {n} x {p} factor")
 
 
-def _locked_geometry(x: np.ndarray, y: np.ndarray) -> tuple[FixedRankPinv, int]:
+def _pinv_locked(y: np.ndarray, rank: int) -> linalg.PseudoinverseResult:
+    # Finite differences perturb Y while the analytic formulas assume
+    # locally constant rank; locking it keeps the eigenvalue cutoff from
+    # flipping between the two perturbed evaluations.
+    s = y.T @ y
+    return linalg.pseudo_inverse_from_eigen(linalg.sym_eigen((s + s.T) / 2.0), rank=rank)
+
+
+def _locked_geometry(x: np.ndarray, y: np.ndarray) -> tuple[linalg.PseudoinverseResult, int]:
     """Fixed-rank pseudoinverse pieces for S = Y'Y at rank min(n, p).
 
     Flags Y as rank-degenerate when the smallest retained eigenvalue is
@@ -147,7 +114,7 @@ def _locked_geometry(x: np.ndarray, y: np.ndarray) -> tuple[FixedRankPinv, int]:
             f"eigenvalue {k - 1} of S is {dec.eigenvalues[k - 1]:.3e}; "
             "Y is numerically rank-degenerate"
         )
-    return pinv_fixed_rank(s, k), k
+    return linalg.pseudo_inverse_from_eigen(dec, rank=k), k
 
 
 # ---------------------------------------------------------------------------
@@ -236,14 +203,11 @@ def _fd_step(coord: float) -> float:
 
 
 def _f_locked(x: np.ndarray, y: np.ndarray, rank: int) -> float:
-    s = y.T @ y
-    geo = pinv_fixed_rank((s + s.T) / 2.0, rank)
-    return float(x @ (geo.pinv @ x))
+    return float(x @ (_pinv_locked(y, rank).pinv @ x))
 
 
 def _m_locked(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
-    s = y.T @ y
-    geo = pinv_fixed_rank((s + s.T) / 2.0, rank)
+    geo = _pinv_locked(y, rank)
     u = geo.pinv @ x
     return np.outer(u, geo.projector @ x)  # S+ x x' S S+
 
@@ -306,8 +270,7 @@ def trace_grad_identity(
     analytic = -4.0 * rf * rdf + rf * rf * (p - 2.0 * k + 3.0) / f
 
     def field(m: np.ndarray) -> np.ndarray:
-        s = m.T @ m
-        g = pinv_fixed_rank((s + s.T) / 2.0, k)
+        g = _pinv_locked(m, k)
         ux = g.pinv @ xv
         fx = float(xv @ ux)
         rfx = r(fx)
@@ -327,23 +290,12 @@ def div_x_identity(x, s, r: ShrinkageFunction, tolerance: float = 1e-5) -> Ident
     S stays fixed; the oracle sums central differences of each component of
     the vector field over its own coordinate of x.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
-        raise linalg.DimensionMismatchError(f"x must be a vector, got shape {xv.shape}")
-    dec = linalg.sym_eigen(s)
-    if dec.dim != xv.size:
-        raise linalg.DimensionMismatchError(
-            f"s is {dec.dim} x {dec.dim} but x has length {xv.size}"
-        )
-    pr = linalg.pseudo_inverse_from_eigen(dec)
-    f = float(xv @ (pr.pinv @ xv))
-    lam_max_pinv = 1.0 / dec.eigenvalues[pr.rank - 1] if pr.rank > 0 else 0.0
-    psx_norm = float(np.linalg.norm(pr.projector @ xv))
-    if bool(f_degenerate(f, float(xv @ xv), pr.rank, psx_norm, lam_max_pinv)):
-        raise RankDegenerateError(f"F = {f:.6e} is degenerate; divergence undefined")
-    m = pr.rank
+    geo = pinv_geometry(x, s)
+    if geo.degenerate:
+        raise RankDegenerateError(f"F = {geo.f:.6e} is degenerate; divergence undefined")
+    xv, pr, f = geo.x, geo.pr, geo.f
     rf = r(f)
-    analytic = 2.0 * r.deriv(f) + rf * (m - 2.0) / f
+    analytic = 2.0 * r.deriv(f) + rf * (pr.rank - 2.0) / f
 
     def field(v: np.ndarray) -> np.ndarray:
         fv = float(v @ (pr.pinv @ v))
@@ -392,7 +344,7 @@ def stein_identity_mc(
     theta,
     sigma,
     n: int,
-    spec: EstimatorSpec,
+    spec: Estimator,
     replicates: int = 100_000,
     seed: int = 0,
 ) -> IdentityReport:
@@ -416,7 +368,7 @@ def stein_identity_mc(
     p = t.size
     sqrt_sigma = linalg.sym_sqrt_pd(sig)
     sigma_inv = linalg.inv_pd(sig)
-    r = shrinkage_of(spec)
+    r = spec.r
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
     for start in range(0, replicates, CHUNK):
@@ -431,8 +383,8 @@ def stein_identity_mc(
         if degen.any():
             i = start + int(np.argmax(degen))
             raise RankDegenerateError(f"degenerate F at replicate {i}")
-        rf = np.array([r.value(v) for v in ba.f])
-        rdf = np.array([r.deriv(v) for v in ba.f])
+        rf = r.value(ba.f)
+        rdf = r.deriv(ba.f)
         m = ba.rank.astype(float)
         g = -(rf / ba.f)[:, None] * ba.psx
         resid = np.einsum("ij,rj->ri", sigma_inv, x - t)
@@ -464,20 +416,14 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
     xv = np.asarray(x, dtype=float)
 
     def build(s: np.ndarray) -> tuple[np.ndarray, float]:
-        pr = linalg.pseudo_inverse(s)
-        p = xv.size
-        u = pr.pinv @ xv
-        f = float(xv @ u)
-        lam_max_pinv = 0.0
-        if pr.rank > 0:
-            lam_max_pinv = float(np.linalg.eigvalsh(pr.pinv)[-1])
-        psx_norm = float(np.linalg.norm(pr.projector @ xv))
-        if bool(f_degenerate(f, float(xv @ xv), pr.rank, psx_norm, lam_max_pinv)):
+        geo = pinv_geometry(xv, s)
+        f = geo.f
+        if geo.degenerate:
             raise RankDegenerateError(f"degenerate F = {f:.6e} in G builder")
         rf = r(f)
         rdf = r.deriv(f)
-        g = (rf * rf / (f * f)) * np.outer(u, pr.projector @ xv)
-        trace_grad = -4.0 * rf * rdf + rf * rf * (p - 2.0 * pr.rank + 3.0) / f
+        g = (rf * rf / (f * f)) * np.outer(geo.spx, geo.psx)
+        trace_grad = -4.0 * rf * rdf + rf * rf * (xv.size - 2.0 * geo.pr.rank + 3.0) / f
         return g, trace_grad
 
     return build
@@ -602,8 +548,8 @@ def finiteness_probe(
         with np.errstate(divide="ignore"):
             inv_f[start : start + count] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
         if r is not None:
-            rf = np.array([r.value(v) for v in ba.f])
-            rdf = np.array([r.deriv(v) for v in ba.f])
+            rf = r.value(ba.f)
+            rdf = r.deriv(ba.f)
             m = ba.rank.astype(float)
             div[start : start + count] = np.abs(
                 (n + p - m + 3.0) * rf * rf / ba.f - 4.0 * rf * rdf
@@ -670,8 +616,7 @@ def sample_identity_config(
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         if gap < min_gap * max(w[0], 1.0):
             continue
-        geo = pinv_fixed_rank((s + s.T) / 2.0, k)
-        if float(x @ (geo.pinv @ x)) < min_f:
+        if float(x @ (_pinv_locked(y, k).pinv @ x)) < min_f:
             continue
         return x, y
     raise RuntimeError(f"no acceptable (x, Y) configuration in {max_tries} draws")
@@ -682,7 +627,7 @@ def _smooth_suite_r() -> ShrinkageFunction:
     # -4 r r' terms are exercised.
     return ShrinkageFunction(
         value=lambda t: 0.5 * t / (1.0 + t),
-        deriv=lambda t: 0.5 / (1.0 + t) ** 2,
+        deriv=lambda t: 0.5 / ((1.0 + t) * (1.0 + t)),
         value_bound=0.5,
         deriv_bound=0.5,
     )
@@ -748,8 +693,7 @@ def _sure_assembly_report(seed: int, configs: int) -> IdentityReport:
         m = min(n, p)
         for _ in range(configs):
             x, y = sample_identity_config(p, n, g)
-            s = y.T @ y
-            geo = pinv_fixed_rank((s + s.T) / 2.0, m)
+            geo = _pinv_locked(y, m)
             u = geo.pinv @ x
             f = float(x @ u)
             rf = r(f)

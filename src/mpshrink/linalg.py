@@ -123,9 +123,14 @@ def pseudo_inverse(m, rel_tol: float | None = None) -> PseudoinverseResult:
 
 
 def pseudo_inverse_from_eigen(
-    dec: SpectralDecomposition, rel_tol: float | None = None
+    dec: SpectralDecomposition, rel_tol: float | None = None, rank: int | None = None
 ) -> PseudoinverseResult:
-    """pseudo_inverse for a matrix whose decomposition is already at hand."""
+    """pseudo_inverse for a matrix whose decomposition is already at hand.
+
+    rank, when given, inverts exactly that many of the largest eigenvalues
+    instead of those above the cutoff. Finite-difference oracles lock the
+    rank this way so that perturbed evaluations cannot flip it.
+    """
     w = dec.eigenvalues
     v = dec.eigenvectors
     p = w.size
@@ -140,7 +145,10 @@ def pseudo_inverse_from_eigen(
         )
     cutoff = rel_tol * max(lam_max, 0.0)
     # Descending order makes the retained set a prefix.
-    rank = int(np.count_nonzero(w > cutoff))
+    if rank is None:
+        rank = int(np.count_nonzero(w > cutoff))
+    elif not 0 <= rank <= p:
+        raise ValueError(f"rank must lie in [0, {p}], got {rank}")
     inv_w = np.zeros(p)
     inv_w[:rank] = 1.0 / w[:rank]
     pinv = (v * inv_w) @ v.T
@@ -231,7 +239,8 @@ def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPin
 
     s_stack has shape (R, p, p) and must already be symmetric; x_stack has
     shape (R, p). Uses the same eigenvalue cutoff rule as pseudo_inverse, so
-    scalar and batched paths agree replicate by replicate.
+    scalar and batched paths agree replicate by replicate. Non-finite
+    entries are rejected, naming the first bad stack entry.
     """
     s = np.asarray(s_stack, dtype=float)
     x = np.asarray(x_stack, dtype=float)
@@ -241,6 +250,9 @@ def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPin
         raise DimensionMismatchError(
             f"vector stack shape {x.shape} does not match matrix stack {s.shape}"
         )
+    finite = np.isfinite(s).all(axis=(1, 2)) & np.isfinite(x).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"stack entry {int(np.argmin(finite))}: S or x has non-finite entries")
     p = s.shape[1]
     if rel_tol is None:
         rel_tol = default_rel_tol(p)

@@ -19,14 +19,11 @@ import numpy as np
 from . import linalg, randgen
 from .estimators import (
     DegenerateFError,
-    EstimatorSpec,
-    JamesStein,
-    PositivePartJS,
+    Estimator,
     ShrinkageFunction,
-    Usual,
-    estimator_label,
+    check_unique_labels,
     f_degenerate,
-    shrinkage_of,
+    pinv_geometry,
 )
 
 # Replicates are processed in blocks of this size. The boundaries are fixed
@@ -51,6 +48,13 @@ def invariant_loss(delta, theta, sigma_inv) -> float:
     return linalg.quad_form(d - t, sigma_inv)
 
 
+def _risk_difference(r: ShrinkageFunction, f, m, p: int, n: int):
+    # Elementwise in f and m; shared by the scalar and Monte-Carlo paths.
+    rf = r.value(f)
+    rdf = r.deriv(f)
+    return rf * rf * (n + p - 2.0 * m + 3.0) / f - 2.0 * rf * (m - 2.0) / f - 4.0 * rdf * (1.0 + rf)
+
+
 def unbiased_risk_difference(
     x, s, r: ShrinkageFunction, n: int, rel_tol: float | None = None
 ) -> float:
@@ -62,27 +66,12 @@ def unbiased_risk_difference(
     of freedom of s, supplied by the caller; p is the length of x. Raises
     DegenerateFError when F sits below the degeneracy threshold.
     """
-    xv = np.asarray(x, dtype=float)
-    if xv.ndim != 1:
-        raise linalg.DimensionMismatchError(f"x must be a vector, got shape {xv.shape}")
     if n < 1:
         raise ValueError(f"degrees of freedom must be positive, got n={n}")
-    dec = linalg.sym_eigen(s)
-    if dec.dim != xv.size:
-        raise linalg.DimensionMismatchError(
-            f"s is {dec.dim} x {dec.dim} but x has length {xv.size}"
-        )
-    pr = linalg.pseudo_inverse_from_eigen(dec, rel_tol)
-    f = float(xv @ (pr.pinv @ xv))
-    lam_max_pinv = 1.0 / dec.eigenvalues[pr.rank - 1] if pr.rank > 0 else 0.0
-    psx_norm = float(np.linalg.norm(pr.projector @ xv))
-    if bool(f_degenerate(f, float(xv @ xv), pr.rank, psx_norm, lam_max_pinv)):
-        raise DegenerateFError(f"F = {f:.6e} is degenerate; no risk-difference value")
-    p = xv.size
-    m = float(pr.rank)
-    rf = r(f)
-    rdf = r.deriv(f)
-    return rf * rf * (n + p - 2.0 * m + 3.0) / f - 2.0 * rf * (m - 2.0) / f - 4.0 * rdf * (1.0 + rf)
+    g = pinv_geometry(x, s, rel_tol)
+    if g.degenerate:
+        raise DegenerateFError(f"F = {g.f:.6e} is degenerate; no risk-difference value")
+    return float(_risk_difference(r, g.f, float(g.pr.rank), g.x.size, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,7 +89,8 @@ class ScenarioConfig:
     """One simulation scenario: dimensions, covariance, estimators, seeding.
 
     theta_direction defaults to the equal-weights unit vector; theta_norms
-    defaults to the study grid {0, 0.5, ..., 6} * sqrt(p).
+    defaults to the study grid {0, 0.5, ..., 6} * sqrt(p). Both must be
+    finite, and no two estimators may share a label.
     """
 
     p: int
@@ -118,6 +108,7 @@ class ScenarioConfig:
             raise ValueError(f"min(p, n) = {min(self.p, self.n)} < 3")
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
+        check_unique_labels(self.estimators)
         if self.theta_direction is None:
             self.theta_direction = np.ones(self.p) / math.sqrt(self.p)
         else:
@@ -126,6 +117,8 @@ class ScenarioConfig:
                 raise ValueError(
                     f"theta_direction must have length p={self.p}, got shape {d.shape}"
                 )
+            if not np.all(np.isfinite(d)):
+                raise ValueError("theta_direction entries must be finite")
             norm = float(np.linalg.norm(d))
             if norm == 0.0:
                 raise ValueError("theta_direction must be nonzero")
@@ -136,8 +129,8 @@ class ScenarioConfig:
             t = np.asarray(self.theta_norms, dtype=float)
             if t.ndim != 1 or t.size < 1:
                 raise ValueError("theta_norms must be a nonempty vector")
-            if np.any(t < 0) or np.any(np.diff(t) < 0):
-                raise ValueError("theta_norms must be nonnegative and ascending")
+            if not np.all(np.isfinite(t)) or np.any(t < 0) or np.any(np.diff(t) < 0):
+                raise ValueError("theta_norms must be finite, nonnegative and ascending")
             self.theta_norms = t
 
 
@@ -147,22 +140,6 @@ class ReplicateStudy:
 
     losses: np.ndarray
     sure: np.ndarray | None = None
-
-
-def _r_values(spec: EstimatorSpec, r: ShrinkageFunction, f: np.ndarray) -> np.ndarray:
-    # Vectorized fast paths for the two parametric families; a general
-    # Baranchik curve is evaluated pointwise.
-    if isinstance(spec, JamesStein):
-        return np.full_like(f, spec.a)
-    if isinstance(spec, PositivePartJS):
-        return np.minimum(spec.a, f)
-    return np.array([r.value(t) for t in f])
-
-
-def _sure_values(r: ShrinkageFunction, f: np.ndarray, m: np.ndarray, p: int, n: int) -> np.ndarray:
-    rf = np.array([r.value(t) for t in f])
-    rdf = np.array([r.deriv(t) for t in f])
-    return rf * rf * (n + p - 2.0 * m + 3.0) / f - 2.0 * rf * (m - 2.0) / f - 4.0 * rdf * (1.0 + rf)
 
 
 def run_replicates(
@@ -187,7 +164,6 @@ def run_replicates(
     theta = float(theta_norm) * cfg.theta_direction
     rel_tol = linalg.default_rel_tol(cfg.p)
     total = cfg.replicates
-    shrinkages = [None if isinstance(s, Usual) else shrinkage_of(s) for s in specs]
     losses = np.empty((len(specs), total))
     sure = np.empty(total) if sure_r is not None else None
 
@@ -204,14 +180,10 @@ def run_replicates(
         degen = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
         f_safe = np.where(degen, 1.0, ba.f)
         centered = x - theta
-        for k, (spec, r) in enumerate(zip(specs, shrinkages)):
-            if r is None:
-                d = centered
-            else:
-                rf = _r_values(spec, r, ba.f)
-                sf = 1.0 - rf / f_safe
-                sf_minus_1 = np.where(degen, 0.0, sf - 1.0)
-                d = centered + sf_minus_1[:, None] * ba.psx
+        for k, spec in enumerate(specs):
+            # Degenerate draws keep x: their factor minus one is zero.
+            sf = 1.0 - spec.r.value(ba.f) / f_safe
+            d = centered + np.where(degen, 0.0, sf - 1.0)[:, None] * ba.psx
             losses[k, start : start + count] = np.einsum(
                 "ri,ij,rj->r", d, sigma_inv, d
             )
@@ -219,7 +191,7 @@ def run_replicates(
             if degen.any():
                 i = start + int(np.argmax(degen))
                 raise DegenerateFError(f"degenerate F at replicate {i}")
-            sure[start : start + count] = _sure_values(
+            sure[start : start + count] = _risk_difference(
                 sure_r, ba.f, ba.rank.astype(float), cfg.p, cfg.n
             )
 
@@ -250,7 +222,7 @@ def summarize_losses(arr: np.ndarray, keep_losses: bool = False) -> RiskEstimate
 
 def mc_risk(
     cfg: ScenarioConfig,
-    spec: EstimatorSpec,
+    spec: Estimator,
     theta_norm: float,
     keep_losses: bool = False,
     jobs: int = 1,
@@ -291,7 +263,6 @@ def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
     cov_name = randgen.cov_label(cfg.cov)
     rows = []
     for k, spec in enumerate(cfg.estimators):
-        label = estimator_label(spec)
         for tn in cfg.theta_norms:
             est = cells[(k, float(tn))]
             rows.append(
@@ -300,7 +271,7 @@ def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
                     p=cfg.p,
                     n=cfg.n,
                     cov_model=cov_name,
-                    estimator=label,
+                    estimator=spec.label,
                     theta_norm=float(tn),
                     replicates=cfg.replicates,
                     risk=est.mean_loss,

@@ -13,7 +13,6 @@ from mpshrink.cli import (
     run,
     verify,
 )
-from mpshrink.estimators import JamesStein, PositivePartJS, Usual
 from mpshrink.randgen import Autoregressive, BlockDiagonal, Identity, Spiked
 
 GOOD = """\
@@ -50,8 +49,8 @@ def test_parse_good_config():
     assert alpha.name == "alpha"
     assert (alpha.p, alpha.n) == (6, 4)
     assert isinstance(alpha.cov, Spiked)
-    assert [type(e) for e in alpha.estimators] == [Usual, JamesStein, PositivePartJS]
-    assert alpha.estimators[2].a == 0.7
+    assert [e.label for e in alpha.estimators] == ["usual", "js(0.4)", "js+(0.7)"]
+    assert alpha.estimators[2].r.value_bound == 0.7
     assert list(alpha.theta_norms) == [0.0, 1.5]
     assert alpha.replicates == 40
     assert alpha.master_seed == 11
@@ -59,13 +58,13 @@ def test_parse_good_config():
     assert beta.replicates == 30
     assert beta.master_seed == 99
     # defaults: usual + js at the study constant
-    assert [type(e) for e in beta.estimators] == [Usual, JamesStein]
-    assert beta.estimators[1].a == pytest.approx(0.25)  # (3-2)/(3+4-6+3)
+    assert [e.label for e in beta.estimators] == ["usual", "js(0.25)"]
+    assert beta.estimators[1].r.value_bound == pytest.approx(0.25)  # (3-2)/(3+4-6+3)
 
 
 def test_parse_js_default_constant_uses_dimensions():
     m = parse_config("[s]\np = 10\nn = 5\ncov = identity\nestimators = js\n")
-    assert m.scenarios[0].estimators[0].a == pytest.approx(0.375)
+    assert m.scenarios[0].estimators[0].r.value_bound == pytest.approx(0.375)
 
 
 def test_parse_cov_variants():
@@ -172,6 +171,15 @@ def test_parse_bad_theta_norms():
     expect_error(
         "[s]\np = 4\nn = 3\ncov = identity\ntheta_norms = 1, x\n",
         "expected a number",
+        line=5,
+    )
+
+
+@pytest.mark.parametrize("estimators", ["js, js", "js:0.5, js:0.50000001", "js+, usual, js+"])
+def test_parse_duplicate_estimator_label(estimators):
+    expect_error(
+        f"[s]\np = 4\nn = 3\ncov = identity\nestimators = {estimators}\n",
+        "duplicate estimator label",
         line=5,
     )
 
@@ -322,12 +330,27 @@ def test_main_missing_config(capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
-def test_main_bad_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,fragment",
+    [
+        ("[s]\np = 4\n", "line 1: scenario 's': missing required key"),
+        ("[s]\np = 4\nn = 3\ncov = identity\nestimators = js:-1\n", "line 5: estimators:"),
+        ("[s]\np = 4\nn = 3\ncov = identity\nestimators = js:nan\n", "line 5: estimators:"),
+        ("[s]\np = 4\nn = 3\ncov = identity\nestimators = js+:inf\n", "line 5: estimators:"),
+        ("[s]\np = 4\nn = 3\ncov = identity\ntheta_norms = 0, inf\n", "line 5: theta_norms:"),
+        ("[s]\np = 4\nn = 3\ncov = identity\ntheta_norms = nan\n", "line 5: theta_norms:"),
+        ("[s]\np = 4\nn = 3\ncov = identity\ntheta_direction = 1, 0, nan, 0\n",
+         "line 5: theta_direction:"),
+    ],
+    ids=["missing-key", "js-negative", "js-nan", "js+-inf", "theta-inf", "theta-nan", "direction-nan"],
+)
+def test_main_bad_config(tmp_path, capsys, text, fragment):
     cfg = tmp_path / "c.cfg"
-    cfg.write_text("[s]\np = 4\n")
-    assert main(["run", str(cfg)]) == 2
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
-    assert "error:" in err and "missing required key" in err
+    assert err.startswith("error:") and fragment in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_rejects_bad_flags(tmp_path, capsys):

@@ -19,8 +19,8 @@ from mpshrink.estimators import (
     f_degenerate,
     js_default_constant,
     positive_part_shrinkage,
-    shrinkage_of,
 )
+from mpshrink.identities import _smooth_suite_r
 from mpshrink.randgen import RngStream, sample_wishart
 
 X0 = np.array([2.0, 0.0, 1.0])
@@ -135,15 +135,45 @@ def test_negative_constants_rejected():
 
 
 def test_shrinkage_of_and_labels():
-    assert shrinkage_of(Usual())(17.0) == 0.0
-    assert shrinkage_of(JamesStein(0.4))(17.0) == 0.4
-    assert shrinkage_of(PositivePartJS(0.4))(0.1) == 0.1
+    assert Usual().r(17.0) == 0.0
+    assert JamesStein(0.4).r(17.0) == 0.4
+    assert PositivePartJS(0.4).r(0.1) == 0.1
     curve = constant_shrinkage(0.3)
-    assert shrinkage_of(Baranchik(curve)) is curve
+    assert Baranchik(curve).r is curve
     assert estimator_label(Usual()) == "usual"
     assert estimator_label(JamesStein(0.375)) == "js(0.375)"
     assert estimator_label(PositivePartJS(1.75)) == "js+(1.75)"
     assert estimator_label(Baranchik(curve)) == "baranchik"
+
+
+def test_nonfinite_constants_rejected():
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            constant_shrinkage(bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            positive_part_shrinkage(bad)
+
+
+# Reference for the array contract: the pointwise loop every engine used
+# before curves took arrays.
+def _pointwise(fn, arr):
+    return np.array([fn(t) for t in arr], dtype=float)
+
+
+_F_VALUES = st.lists(
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False), min_size=1, max_size=30
+)
+
+
+@settings(deadline=None, max_examples=100)
+@given(f=_F_VALUES, a=st.floats(min_value=0.0, max_value=50.0))
+def test_curves_on_arrays_match_pointwise_loop(f, a):
+    # points at the positive-part kink and just either side of it
+    arr = np.array(f + [a, np.nextafter(a, 0.0), np.nextafter(a, np.inf)])
+    for r in (constant_shrinkage(a), positive_part_shrinkage(a), _smooth_suite_r()):
+        assert np.array_equal(r.value(arr), _pointwise(r.value, arr))
+        assert np.array_equal(r.deriv(arr), _pointwise(r.deriv, arr))
+        assert np.shape(r.value(arr)) == arr.shape == np.shape(r.deriv(arr))
 
 
 # -------------------------------------------------------------- degeneracy
@@ -194,6 +224,16 @@ def test_usual_ignores_degeneracy():
     out = estimate(Usual(), np.array([0.0, 0.0, 5.0]), S0)
     assert not out.degenerate
     assert np.array_equal(out.delta, [0.0, 0.0, 5.0])
+
+
+@pytest.mark.parametrize("x", [X0, np.array([0.0, 0.0, 5.0]), np.zeros(3)])
+def test_usual_equals_js_zero(x):
+    # the second and third draws are degenerate; neither curve shrinks
+    usual = estimate(Usual(), x, S0)
+    js0 = estimate(JamesStein(0.0), x, S0)
+    assert np.array_equal(usual.delta, js0.delta)
+    assert usual.shrink_factor == js0.shrink_factor
+    assert usual.degenerate == js0.degenerate is False
 
 
 # ---------------------------------------------------------------- estimate()
@@ -314,8 +354,8 @@ def test_conditions_catch_decreasing_curve():
 
 def test_conditions_catch_derivative_overrun():
     r = ShrinkageFunction(
-        value=lambda t: min(0.5, 2.0 * t),
-        deriv=lambda t: 2.0 if t < 0.25 else 0.0,
+        value=lambda t: np.minimum(0.5, 2.0 * t),
+        deriv=lambda t: np.where(t < 0.25, 2.0, 0.0),
         value_bound=0.5,
         deriv_bound=1.0,
     )

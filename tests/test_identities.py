@@ -21,7 +21,6 @@ from mpshrink.identities import (
     fd_dm_dy,
     fd_ds_dy,
     finiteness_probe,
-    pinv_fixed_rank,
     run_default_suite,
     sample_identity_config,
     stein_haff_mc,
@@ -29,6 +28,7 @@ from mpshrink.identities import (
     shrinkage_g_builder,
     trace_grad_identity,
 )
+from mpshrink.linalg import pseudo_inverse_from_eigen, sym_eigen
 from mpshrink.randgen import RngStream
 
 
@@ -51,7 +51,7 @@ def suite_config(p, n, seed=0):
 
 def test_pinv_fixed_rank_full_rank_exact_projector():
     s = np.diag([3.0, 2.0, 1.0])
-    geo = pinv_fixed_rank(s, 3)
+    geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=3)
     assert np.array_equal(geo.projector, np.eye(3))
     assert np.array_equal(geo.complement, np.zeros((3, 3)))
     assert np.allclose(geo.pinv, np.diag([1 / 3, 0.5, 1.0]), atol=1e-15)
@@ -59,22 +59,22 @@ def test_pinv_fixed_rank_full_rank_exact_projector():
 
 def test_pinv_fixed_rank_partial():
     s = np.diag([4.0, 1.0, 0.5])
-    geo = pinv_fixed_rank(s, 2)
+    geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=2)
     assert np.allclose(geo.pinv, np.diag([0.25, 1.0, 0.0]), atol=1e-15)
     assert np.allclose(geo.projector, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
 
 
 def test_pinv_fixed_rank_zero():
-    geo = pinv_fixed_rank(np.diag([1.0, 1.0]), 0)
+    geo = pseudo_inverse_from_eigen(sym_eigen(np.diag([1.0, 1.0])), rank=0)
     assert np.array_equal(geo.pinv, np.zeros((2, 2)))
     assert np.array_equal(geo.complement, np.eye(2))
 
 
 def test_pinv_fixed_rank_validates_rank():
     with pytest.raises(ValueError):
-        pinv_fixed_rank(np.eye(2), 3)
+        pseudo_inverse_from_eigen(sym_eigen(np.eye(2)), rank=3)
     with pytest.raises(ValueError):
-        pinv_fixed_rank(np.eye(2), -1)
+        pseudo_inverse_from_eigen(sym_eigen(np.eye(2)), rank=-1)
 
 
 # ---------------------------------------------------------------- dS / dY
@@ -137,7 +137,7 @@ def test_df_dy_matrix_consistent_with_entries():
 def test_df_dy_out_of_range_term_vanishes_at_full_rank():
     # n >= p: (I - SS+) x is exactly zero, so only the first term remains
     x, y = suite_config(4, 6, seed=2)
-    geo = pinv_fixed_rank((y.T @ y + (y.T @ y).T) / 2.0, 4)
+    geo = pseudo_inverse_from_eigen(sym_eigen((y.T @ y + (y.T @ y).T) / 2.0), rank=4)
     u = geo.pinv @ x
     first_term = -2.0 * np.outer(y @ u, u)
     assert np.array_equal(df_dy_matrix(x, y), first_term)
@@ -340,7 +340,7 @@ def test_sample_identity_config_respects_thresholds():
         w = np.linalg.eigvalsh(s)[::-1]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         assert gap >= 1e-6 * max(w[0], 1.0)
-        geo = pinv_fixed_rank(s, k)
+        geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=k)
         assert float(x @ geo.pinv @ x) >= 1e-6
 
 

@@ -279,6 +279,17 @@ def test_batch_pinv_apply_shape_errors():
         batch_pinv_apply(np.zeros((2, 3, 3)), np.zeros((3, 3)))
 
 
+def test_batch_pinv_apply_rejects_nonfinite_entry():
+    s = np.stack([np.eye(3)] * 3)
+    s[1, 0, 2] = s[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="stack entry 1"):
+        batch_pinv_apply(s, np.ones((3, 3)))
+    x = np.ones((3, 3))
+    x[2, 1] = np.inf
+    with pytest.raises(ValueError, match="stack entry 2"):
+        batch_pinv_apply(np.stack([np.eye(3)] * 3), x)
+
+
 def test_batch_pinv_apply_rejects_indefinite_entry():
     s = np.stack([np.eye(3), np.diag([1.0, 1.0, -1.0])])
     x = np.zeros((2, 3))

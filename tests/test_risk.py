@@ -5,7 +5,9 @@ import pytest
 
 from mpshrink import linalg
 from mpshrink.estimators import (
+    Baranchik,
     DegenerateFError,
+    Estimator,
     JamesStein,
     PositivePartJS,
     Usual,
@@ -131,6 +133,43 @@ def test_scenario_validation():
         ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[], theta_norms=[2.0, 1.0])
     with pytest.raises(ValueError):
         ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[], theta_norms=[-1.0, 0.0])
+
+
+def test_scenario_rejects_nonfinite_theta():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[], theta_norms=[0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            ScenarioConfig(
+                p=4, n=3, cov=Identity(), estimators=[], theta_direction=[1.0, 0.0, bad, 0.0]
+            )
+
+
+def test_scenario_rejects_duplicate_labels():
+    with pytest.raises(ValueError, match=r"duplicate estimator label 'js\(0\.5\)'"):
+        ScenarioConfig(
+            p=4, n=3, cov=Identity(), estimators=[JamesStein(0.5), JamesStein(0.50000001)]
+        )
+    # two general curves in one scenario need their own labels
+    with pytest.raises(ValueError, match="'baranchik'"):
+        ScenarioConfig(
+            p=4,
+            n=3,
+            cov=Identity(),
+            estimators=[Baranchik(constant_shrinkage(0.1)), Baranchik(constant_shrinkage(0.2))],
+        )
+    cfg = ScenarioConfig(
+        p=4,
+        n=3,
+        cov=Identity(),
+        estimators=[
+            Estimator("low", constant_shrinkage(0.1)),
+            Estimator("high", constant_shrinkage(0.2)),
+        ],
+        theta_norms=[0.0],
+        replicates=50,
+    )
+    assert [row.estimator for row in risk_curve(cfg)] == ["low", "high"]
 
 
 def test_scenario_with_revalidates():
