@@ -423,7 +423,8 @@ def main(argv: list[str] | None = None) -> int:
         "--replicates",
         type=int,
         default=100_000,
-        help="replicates for the Monte-Carlo identities",
+        help="replicates for the stein and stein_haff identities; the finiteness "
+        "probe always draws 2 x 10000",
     )
     p_verify.add_argument(
         "--configs",

@@ -374,9 +374,7 @@ def stein_identity_mc(
     for start in range(0, replicates, CHUNK):
         count = min(CHUNK, replicates - start)
         x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, count)
-        s = y.transpose(0, 2, 1) @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        ba = linalg.batch_pinv_apply(s, x)
+        ba = linalg.batch_pinv_factor(y, x)
         x_sq = np.einsum("ri,ri->r", x, x)
         psx_norm = np.linalg.norm(ba.psx, axis=1)
         degen = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
@@ -393,15 +391,16 @@ def stein_identity_mc(
     return _mc_report("stein", lhs, rhs)
 
 
-GBuilder = Callable[[np.ndarray], tuple[np.ndarray, float]]
+GBuilder = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 
 
 def eye_g_builder(p: int) -> GBuilder:
     """G(S) = I, whose Y-gradient trace is zero. E[tr(Sigma^{-1} S)] = n p."""
     eye = np.eye(p)
 
-    def build(s: np.ndarray) -> tuple[np.ndarray, float]:
-        return eye, 0.0
+    def build(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        count = y.shape[0]
+        return np.broadcast_to(eye, (count, p, p)), np.zeros(count)
 
     return build
 
@@ -411,19 +410,23 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
 
     The trace of its Y-gradient is supplied analytically from the closed
     form -4 r r' + r^2 (p - 2m + 3)/F, the same expression checked by
-    trace_grad_identity.
+    trace_grad_identity. One batch_pinv_factor call serves the whole stack.
     """
     xv = np.asarray(x, dtype=float)
 
-    def build(s: np.ndarray) -> tuple[np.ndarray, float]:
-        geo = pinv_geometry(xv, s)
-        f = geo.f
-        if geo.degenerate:
-            raise RankDegenerateError(f"degenerate F = {f:.6e} in G builder")
-        rf = r(f)
-        rdf = r.deriv(f)
-        g = (rf * rf / (f * f)) * np.outer(geo.spx, geo.psx)
-        trace_grad = -4.0 * rf * rdf + rf * rf * (xv.size - 2.0 * geo.pr.rank + 3.0) / f
+    def build(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ba = linalg.batch_pinv_factor(y, np.broadcast_to(xv, (y.shape[0], xv.size)))
+        psx_norm = np.linalg.norm(ba.psx, axis=1)
+        degen = f_degenerate(ba.f, float(xv @ xv), ba.rank, psx_norm, ba.lam_max_pinv)
+        if degen.any():
+            i = int(np.argmax(degen))
+            raise RankDegenerateError(
+                f"degenerate F = {ba.f[i]:.6e} at stack entry {i} in G builder"
+            )
+        rf = r.value(ba.f)
+        rdf = r.deriv(ba.f)
+        g = (rf * rf / (ba.f * ba.f))[:, None, None] * ba.spx[:, :, None] * ba.psx[:, None, :]
+        trace_grad = -4.0 * rf * rdf + rf * rf * (xv.size - 2.0 * ba.rank + 3.0) / ba.f
         return g, trace_grad
 
     return build
@@ -439,7 +442,8 @@ def stein_haff_mc(
     """E[tr(Sigma^{-1} S G)] against E[n tr(G) + tr(Y' grad_Y G')].
 
     S = Y'Y is drawn fresh per replicate (stream i yields the n*p variates
-    of Y, row-major); g_builder maps each S to (G, analytic gradient trace).
+    of Y, row-major). g_builder maps a chunk's (R, n, p) stack of Y to the
+    (R, p, p) stack of G and the (R,) analytic gradient traces.
     """
     if replicates < 1000:
         raise ValueError(f"at least 1000 replicates required, got {replicates}")
@@ -457,17 +461,17 @@ def stein_haff_mc(
         for j in range(count):
             z[j] = randgen.RngStream(seed, start + j).generator().standard_normal(n * p)
         y = z.reshape(count, n, p) @ sqrt_sigma
+        g, trace_grad = g_builder(y)
+        g = np.asarray(g, dtype=float)
+        trace_grad = np.asarray(trace_grad, dtype=float)
+        if g.shape != (count, p, p) or trace_grad.shape != (count,):
+            raise linalg.DimensionMismatchError(
+                f"G builder returned shapes {g.shape} and {trace_grad.shape}, "
+                f"expected ({count}, {p}, {p}) and ({count},)"
+            )
         s = y.transpose(0, 2, 1) @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        for j in range(count):
-            g, trace_grad = g_builder(s[j])
-            g = np.asarray(g, dtype=float)
-            if g.shape != (p, p):
-                raise linalg.DimensionMismatchError(
-                    f"G builder returned shape {g.shape}, expected ({p}, {p})"
-                )
-            lhs[start + j] = float(np.trace(sigma_inv @ s[j] @ g))
-            rhs[start + j] = n * float(np.trace(g)) + float(trace_grad)
+        lhs[start : start + count] = np.einsum("rij,rji->r", sigma_inv @ s, g)
+        rhs[start : start + count] = n * np.einsum("rii->r", g) + trace_grad
     return _mc_report("stein_haff", lhs, rhs)
 
 
@@ -542,9 +546,7 @@ def finiteness_probe(
         x, y = randgen.batch_normal_wishart(
             p, n, t, sqrt_sigma, seed, start, count, x_scale=x_scale
         )
-        s = y.transpose(0, 2, 1) @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        ba = linalg.batch_pinv_apply(s, x)
+        ba = linalg.batch_pinv_factor(y, x)
         with np.errstate(divide="ignore"):
             inv_f[start : start + count] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
         if r is not None:
@@ -734,8 +736,10 @@ def run_default_suite(
     """The full identity suite at its standard settings, one report per name.
 
     Finite-difference identities sweep fd_configs random configurations per
-    (p, n) in FD_GRID and report the worst case; Monte-Carlo identities run
-    on MC_GRID at mc_replicates. `only` restricts to a single name.
+    (p, n) in FD_GRID and report the worst case; the stein and stein_haff
+    Monte-Carlo identities run on MC_GRID at mc_replicates. The finiteness
+    probe has a fixed size, 10 000 replicates at each of two shapes, whatever
+    mc_replicates is. `only` restricts to a single name.
     """
     if only is not None and only not in SUITE_NAMES:
         raise ValueError(f"unknown identity {only!r}; choose from {', '.join(SUITE_NAMES)}")

@@ -172,9 +172,7 @@ def run_replicates(
         x, y = randgen.batch_normal_wishart(
             cfg.p, cfg.n, theta, sqrt_sigma, cfg.master_seed, start, count
         )
-        s = y.transpose(0, 2, 1) @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        ba = linalg.batch_pinv_apply(s, x, rel_tol)
+        ba = linalg.batch_pinv_factor(y, x, rel_tol)
         x_sq = np.einsum("ri,ri->r", x, x)
         psx_norm = np.linalg.norm(ba.psx, axis=1)
         degen = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)

@@ -107,6 +107,7 @@ def grid_stats():
     return {"cells": cells, "elapsed": time.perf_counter() - t0}
 
 
+@pytest.mark.slow
 def test_criterion_1_unshrunk_risk_is_p():
     # The unshrunk estimator has constant risk p; check the Monte-Carlo mean
     # lands within 3 standard errors of it on every grid cell at 10^4.
@@ -132,6 +133,7 @@ def test_criterion_1_unshrunk_risk_is_p():
     assert ok, failures
 
 
+@pytest.mark.slow
 def test_criterion_2_james_stein_dominates(grid_stats):
     # Strict improvement: mean loss below p - 3 SE in every cell at 10^5.
     worst_margin = math.inf
@@ -152,6 +154,7 @@ def test_criterion_2_james_stein_dominates(grid_stats):
     assert ok, failures
 
 
+@pytest.mark.slow
 def test_criterion_3_unbiased_risk_difference_tracks_mc(grid_stats):
     # Mean of the unbiased risk difference against the realized loss gap,
     # paired on common draws.
@@ -189,6 +192,7 @@ def test_criterion_4_derivative_oracles():
     assert ok, [(r.name, r.rel_err) for r in reports if not r.passed]
 
 
+@pytest.mark.slow
 def test_criterion_5_mc_identities():
     # Stein and Stein-Haff identities at 10^5 replicates on both thin and
     # wide shapes; the Stein-Haff row includes the G = I case whose exact
@@ -231,6 +235,7 @@ def test_criterion_6_full_rank_reduction():
     assert ok, worst
 
 
+@pytest.mark.slow
 def test_criterion_7_positive_part_no_worse(grid_stats):
     # Soft bound: positive-part may not lose to plain James-Stein by more
     # than 3 SE of the paired difference anywhere on the grid.
@@ -257,6 +262,7 @@ def test_criterion_7_positive_part_no_worse(grid_stats):
 C8_REPLICATES = 2500
 
 
+@pytest.mark.slow
 def test_criterion_8_byte_identical_across_jobs(tmp_path):
     cfg = str(ROOT / "figure1.cfg")
     dir_one = tmp_path / "jobs1"

@@ -316,6 +316,70 @@ def test_full_rank_reduction_matches_classical(seed):
     assert np.linalg.norm(out.delta - classical) <= 1e-8 * scale
 
 
+_EQUIVARIANT_SPECS = [JamesStein(0.4), PositivePartJS(0.4), Baranchik(_smooth_suite_r())]
+
+
+def _draw_x_s(seed, p, shape):
+    rng = np.random.default_rng(seed)
+    n = {"half": p // 2, "p-1": p - 1, "p": p, "p+1": p + 1}[shape]
+    y = rng.standard_normal((n, p))
+    s = y.T @ y
+    s = (s + s.T) / 2.0
+    w = np.linalg.eigvalsh(s)
+    kept = w[w > linalg.default_rel_tol(p) * w[-1]]
+    # Two solves of one problem agree to about 1e-14 * cond(S) at best.
+    tol = max(1e-10, 1e-12 * w[-1] / kept[0])
+    return rng, y, rng.standard_normal(p), tol
+
+
+def _rel(a, b) -> float:
+    # The positive-part rule maps the whole vector to 0 when F < a and n >= p.
+    return float(np.linalg.norm(a - b) / max(float(np.linalg.norm(b)), 1e-300))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.integers(min_value=6, max_value=20),
+    shape=st.sampled_from(["half", "p-1", "p", "p+1"]),
+    scale_exp=st.integers(min_value=-60, max_value=60),
+)
+def test_estimate_scale_equivariance(seed, p, shape, scale_exp):
+    """(c x, c^2 S) maps delta to c delta: F and P_S do not see c."""
+    _, y, x, tol = _draw_x_s(seed, p, shape)
+    c = 1.3 * 10.0**scale_exp
+    s = y.T @ y
+    cy = c * y
+    cs = cy.T @ cy
+    for spec in _EQUIVARIANT_SPECS:
+        base = estimate(spec, x, (s + s.T) / 2.0)
+        scaled = estimate(spec, c * x, (cs + cs.T) / 2.0)
+        assert scaled.rank == base.rank
+        assert scaled.f_value == pytest.approx(base.f_value, rel=tol)
+        assert _rel(scaled.delta, c * base.delta) <= tol
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    p=st.integers(min_value=6, max_value=20),
+    shape=st.sampled_from(["half", "p-1", "p", "p+1"]),
+)
+def test_estimate_orthogonal_equivariance(seed, p, shape):
+    """(Q x, Q S Q') maps delta to Q delta for orthogonal Q."""
+    rng, y, x, tol = _draw_x_s(seed, p, shape)
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    s = y.T @ y
+    yq = y @ q.T
+    qs = yq.T @ yq
+    for spec in _EQUIVARIANT_SPECS:
+        base = estimate(spec, x, (s + s.T) / 2.0)
+        turned = estimate(spec, q @ x, (qs + qs.T) / 2.0)
+        assert turned.rank == base.rank
+        assert turned.f_value == pytest.approx(base.f_value, rel=tol)
+        assert _rel(turned.delta, q @ base.delta) <= tol
+
+
 # ------------------------------------------------------------- r conditions
 
 GRID = np.linspace(0.0, 40.0, 200)

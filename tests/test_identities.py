@@ -281,6 +281,45 @@ def test_stein_haff_builder_shape_check():
         stein_haff_mc(3, np.eye(5), bad_builder, replicates=1000, seed=0)
 
 
+@pytest.mark.parametrize("n, p", [(3, 5), (5, 3), (4, 9)])
+def test_shrinkage_g_builder_matches_scalar_geometry(n, p):
+    """The chunk builder gives each replicate's r(F)^2 S+x (P_S x)' / F^2
+    and gradient trace as the scalar pinv_geometry path does."""
+    from mpshrink.estimators import pinv_geometry
+
+    rng = np.random.default_rng(n * 100 + p)
+    y = rng.standard_normal((6, n, p))
+    x = rng.standard_normal(p)
+    r = smooth_r()
+    g, trace_grad = shrinkage_g_builder(x, r)(y)
+    assert g.shape == (6, p, p) and trace_grad.shape == (6,)
+    for i in range(6):
+        s = y[i].T @ y[i]
+        geo = pinv_geometry(x, (s + s.T) / 2.0)
+        f = geo.f
+        expect = (r(f) ** 2 / f**2) * np.outer(geo.spx, geo.psx)
+        assert np.linalg.norm(g[i] - expect) <= 1e-10 * np.linalg.norm(expect)
+        closed = -4.0 * r(f) * r.deriv(f) + r(f) ** 2 * (p - 2.0 * geo.pr.rank + 3.0) / f
+        assert trace_grad[i] == pytest.approx(closed, rel=1e-10)
+
+
+def test_shrinkage_g_builder_names_degenerate_entry():
+    # x in the null space of S_2 = Y_2'Y_2: F = 0 there.
+    y = np.random.default_rng(3).standard_normal((4, 3, 5))
+    y[2, :, 0] = 0.0
+    x = np.zeros(5)
+    x[0] = 1.0
+    with pytest.raises(RankDegenerateError, match="stack entry 2"):
+        shrinkage_g_builder(x, constant_shrinkage(0.3))(y)
+
+
+def test_eye_g_builder_broadcasts_identity():
+    g, trace_grad = eye_g_builder(4)(np.zeros((3, 2, 4)))
+    assert g.shape == (3, 4, 4)
+    assert np.array_equal(g[1], np.eye(4))
+    assert np.array_equal(trace_grad, np.zeros(3))
+
+
 def test_stein_haff_validation():
     with pytest.raises(ValueError):
         stein_haff_mc(3, np.eye(5), eye_g_builder(5), replicates=10)

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mpshrink.linalg import (
     MAX_DIM,
+    THIN_SIDE_RATIO,
     BatchPinvApply,
     DimensionMismatchError,
     NotPositiveDefiniteError,
     NotPositiveSemidefiniteError,
     batch_pinv_apply,
+    batch_pinv_factor,
     default_rel_tol,
     inv_pd,
     projectors,
@@ -295,3 +297,201 @@ def test_batch_pinv_apply_rejects_indefinite_entry():
     x = np.zeros((2, 3))
     with pytest.raises(NotPositiveSemidefiniteError):
         batch_pinv_apply(s, x)
+
+
+# ------------------------------------------------------- thin-side kernel
+
+
+def square_path(y, x):
+    """The p x p oracle: S = Y'Y symmetrised, then batch_pinv_apply."""
+    s = y.transpose(0, 2, 1) @ y
+    return batch_pinv_apply((s + s.transpose(0, 2, 1)) / 2.0, x)
+
+
+def rel_diff(a, b):
+    """Largest per-entry relative difference, vectors compared by norm."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim == 1:
+        a, b = a[:, None], b[:, None]
+    # Rescale each row first so that entries near 1e+-200 cannot overflow.
+    scale = np.max(np.abs(b), axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
+    num = np.linalg.norm((a - b) / scale, axis=-1)
+    den = np.maximum(np.linalg.norm(b / scale, axis=-1), 1e-300)
+    out = float(np.max(num / den))
+    assert np.isfinite(out)
+    return out
+
+
+def kernel_agreement(a, b) -> float:
+    assert np.array_equal(a.rank, b.rank)
+    return max(
+        rel_diff(a.f, b.f),
+        rel_diff(a.psx, b.psx),
+        rel_diff(a.spx, b.spx),
+        rel_diff(a.lam_max_pinv, b.lam_max_pinv),
+    )
+
+
+def spectrum_checked_stack(y) -> float:
+    """Condition number of the kept spectrum of S = Y'Y, worst over the stack.
+
+    Skips stacks with an eigenvalue within 10x of the rank cutoff, where any
+    two solvers may disagree on the rank.
+    """
+    p = y.shape[2]
+    s = y.transpose(0, 2, 1) @ y
+    w = np.linalg.eigvalsh((s + s.transpose(0, 2, 1)) / 2.0)
+    cutoff = default_rel_tol(p) * w[:, -1:]
+    assume(np.all((w >= 10.0 * cutoff) | (w <= cutoff / 10.0)))
+    kept_min = np.where(w > cutoff, w, np.inf).min(axis=1)
+    return float(np.max(w[:, -1] / kept_min))
+
+
+def agreement_tol(kappa: float) -> float:
+    """1e-10 relative, widened to 1e-12 * kappa for ill-conditioned draws.
+
+    Both kernels lose about 1e-14 * kappa against an SVD of Y (measured:
+    at most 2.3e-14 * kappa over 2762 draws); no pair of backward-stable
+    solvers can agree beyond that, however exact each formula is.
+    """
+    return max(1e-10, 1e-12 * kappa)
+
+
+_SHAPES = st.sampled_from(["half", "thin", "p-1", "p", "p+1"])
+_ROW_DEFECT = st.sampled_from(["none", "duplicate", "near"])
+
+
+def draw_factor(rng, p, shape, defect, scale_exp, near_exp, reps=3):
+    n = {
+        "half": max(2, p // 2 - int(rng.integers(0, 3))),
+        "thin": int(np.floor(THIN_SIDE_RATIO * p)),
+        "p-1": p - 1,
+        "p": p,
+        "p+1": p + 1,
+    }[shape]
+    y = rng.standard_normal((reps, n, p))
+    if defect == "duplicate":
+        y[:, -1] = y[:, 0]
+    elif defect == "near":
+        y[:, -1] = y[:, 0] + 10.0**near_exp * rng.standard_normal((reps, p))
+    x = rng.standard_normal((reps, p))
+    return y * 10.0**scale_exp, x
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    p=st.integers(min_value=5, max_value=24),
+    shape=_SHAPES,
+    defect=_ROW_DEFECT,
+    scale_exp=st.integers(min_value=-100, max_value=100),
+    near_exp=st.floats(min_value=-6.0, max_value=0.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_pinv_factor_matches_square_path(p, shape, defect, scale_exp, near_exp, seed):
+    """Equal ranks; F, P_S x, S+ x and lambda_max(S+) within 1e-10 relative
+    (1e-12 * kappa when the kept spectrum of S is ill-conditioned)."""
+    y, x = draw_factor(np.random.default_rng(seed), p, shape, defect, scale_exp, near_exp)
+    kappa = spectrum_checked_stack(y)
+    thin = batch_pinv_factor(y, x)
+    oracle = square_path(y, x)
+    assert kernel_agreement(thin, oracle) <= agreement_tol(kappa)
+    if y.shape[1] > THIN_SIDE_RATIO * p:
+        # The square side is batch_pinv_apply on S, bit for bit.
+        for field in ("f", "rank", "psx", "spx", "lam_max_pinv"):
+            assert np.array_equal(getattr(thin, field), getattr(oracle, field))
+
+
+def test_batch_pinv_factor_duplicate_row_drops_rank():
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((4, 6, 20))
+    y[:, 5] = y[:, 2]
+    x = rng.standard_normal((4, 20))
+    ba = batch_pinv_factor(y, x)
+    assert np.array_equal(ba.rank, np.full(4, 5))
+    assert kernel_agreement(ba, square_path(y, x)) <= 1e-10
+
+
+def test_batch_pinv_factor_zero_factor_entry():
+    ba = batch_pinv_factor(np.zeros((1, 3, 10)), np.ones((1, 10)))
+    assert ba.rank[0] == 0
+    assert ba.f[0] == 0.0
+    assert ba.lam_max_pinv[0] == 0.0
+    assert np.array_equal(ba.psx[0], np.zeros(10))
+    assert np.array_equal(ba.spx[0], np.zeros(10))
+
+
+def test_batch_pinv_factor_shape_errors():
+    with pytest.raises(DimensionMismatchError):
+        batch_pinv_factor(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        batch_pinv_factor(np.zeros((2, 3, 8)), np.zeros((2, 3)))
+    with pytest.raises(DimensionMismatchError):
+        batch_pinv_factor(np.zeros((2, 3, 8)), np.zeros((3, 8)))
+
+
+@pytest.mark.parametrize("n", [3, 9])
+def test_batch_pinv_factor_rejects_nonfinite_entry(n):
+    y = np.ones((3, n, 10))
+    y[1, 0, 2] = np.nan
+    with pytest.raises(ValueError, match="stack entry 1"):
+        batch_pinv_factor(y, np.ones((3, 10)))
+    x = np.ones((3, 10))
+    x[2, 4] = np.inf
+    with pytest.raises(ValueError, match="stack entry 2"):
+        batch_pinv_factor(np.ones((3, n, 10)), x)
+    # Finite entries whose Gram matrix overflows are rejected as well.
+    y = np.ones((3, n, 10))
+    y[0] *= 1e200
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="stack entry 0"):
+        batch_pinv_factor(y, np.ones((3, 10)))
+
+
+def _js_delta(ba, x, a=0.4):
+    # delta = x - a P_S x / F on non-degenerate draws.
+    return x - (a / ba.f)[:, None] * ba.psx
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    p=st.integers(min_value=5, max_value=24),
+    shape=_SHAPES,
+    scale_exp=st.integers(min_value=-60, max_value=60),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_pinv_factor_scale_equivariance(p, shape, scale_exp, seed):
+    """(c x, c Y), i.e. c^2 S, keeps F and P_S and maps delta to c delta."""
+    y, x = draw_factor(np.random.default_rng(seed), p, shape, "none", 0, 0.0)
+    tol = agreement_tol(spectrum_checked_stack(y))
+    c = 10.0**scale_exp * 1.7
+    base = batch_pinv_factor(y, x)
+    scaled = batch_pinv_factor(c * y, c * x)
+    assert np.array_equal(scaled.rank, base.rank)
+    assert rel_diff(scaled.f, base.f) <= tol
+    assert rel_diff(scaled.psx, c * base.psx) <= tol
+    assert rel_diff(scaled.spx, base.spx / c) <= tol
+    assert rel_diff(scaled.lam_max_pinv, base.lam_max_pinv / c**2) <= tol
+    assert rel_diff(_js_delta(scaled, c * x), c * _js_delta(base, x)) <= tol
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    p=st.integers(min_value=5, max_value=24),
+    shape=_SHAPES,
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_pinv_factor_orthogonal_equivariance(p, shape, seed):
+    """(Q x, Y Q'), i.e. Q S Q', keeps F and maps P_S x, S+ x and delta by Q."""
+    rng = np.random.default_rng(seed)
+    y, x = draw_factor(rng, p, shape, "none", 0, 0.0)
+    tol = agreement_tol(spectrum_checked_stack(y))
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    base = batch_pinv_factor(y, x)
+    turned = batch_pinv_factor(y @ q.T, x @ q.T)
+    assert np.array_equal(turned.rank, base.rank)
+    assert rel_diff(turned.f, base.f) <= tol
+    assert rel_diff(turned.psx, base.psx @ q.T) <= tol
+    assert rel_diff(turned.spx, base.spx @ q.T) <= tol
+    assert rel_diff(turned.lam_max_pinv, base.lam_max_pinv) <= tol
+    assert rel_diff(_js_delta(turned, x @ q.T), _js_delta(base, x) @ q.T) <= tol
