@@ -43,6 +43,8 @@ from .randgen import Autoregressive, BlockDiagonal, Identity, Spiked
 CSV_HEADER = "scenario,p,n,cov_model,estimator,theta_norm,replicates,risk,std_err"
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9._-]+)\]$")
+# An inline comment: '#' or ';' after whitespace, to the end of the line.
+_INLINE_COMMENT_RE = re.compile(r"\s[#;].*$")
 _GLOBAL_KEYS = ("master_seed", "replicates", "emit_svg", "output_dir")
 _SCENARIO_KEYS = (
     "p",
@@ -76,11 +78,12 @@ class RunManifest:
 
 
 def _split_sections(text: str):
-    """(name, name_line, {key: (value, line)}) triples, in file order."""
+    """(name, name_line, {key: (value, line)}) triples, in file order.
+    A '#' or ';' starting a line or following whitespace opens a comment."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
+        line = _INLINE_COMMENT_RE.sub("", raw).strip()
         if not line or line.startswith("#") or line.startswith(";"):
             continue
         m = _SECTION_RE.match(line)
@@ -458,6 +461,9 @@ def main(argv: list[str] | None = None) -> int:
             out_dir=args.out,
         )
     if args.command == "verify":
+        if args.configs < 1:
+            sys.stderr.write("error: --configs must be at least 1\n")
+            return 2
         return verify(
             only=args.only,
             seed=args.seed,

@@ -16,17 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg, randgen
+from . import linalg, randgen, risk
 from .estimators import (
     Baranchik,
     Estimator,
     ShrinkageFunction,
     constant_shrinkage,
-    f_degenerate,
+    f_degenerate,  # noqa: F401 - not called here; perfbench/spans.py wraps it by name
     pinv_geometry,
 )
-
-CHUNK = 2048
 
 # Central-difference step: h = FD_STEP_SCALE * max(1, |coordinate|).
 FD_STEP_SCALE = 1e-5
@@ -89,25 +87,26 @@ def _checked_index(y: np.ndarray, alpha: int, beta: int) -> None:
         raise IndexError(f"(alpha, beta) = ({alpha}, {beta}) outside a {n} x {p} factor")
 
 
+def _gram_eigen(y: np.ndarray) -> linalg.SpectralDecomposition:
+    s = y.T @ y
+    return linalg.sym_eigen((s + s.T) / 2.0)
+
+
 def _pinv_locked(y: np.ndarray, rank: int) -> linalg.PseudoinverseResult:
     # Finite differences perturb Y while the analytic formulas assume
     # locally constant rank; locking it keeps the eigenvalue cutoff from
     # flipping between the two perturbed evaluations.
-    s = y.T @ y
-    return linalg.pseudo_inverse_from_eigen(linalg.sym_eigen((s + s.T) / 2.0), rank=rank)
+    return linalg.pseudo_inverse_from_eigen(_gram_eigen(y), rank=rank)
 
 
-def _locked_geometry(x: np.ndarray, y: np.ndarray) -> tuple[linalg.PseudoinverseResult, int]:
+def _locked_geometry(y: np.ndarray) -> tuple[linalg.PseudoinverseResult, int]:
     """Fixed-rank pseudoinverse pieces for S = Y'Y at rank min(n, p).
 
     Flags Y as rank-degenerate when the smallest retained eigenvalue is
     indistinguishable from the discarded ones.
     """
-    n, p = y.shape
-    k = min(n, p)
-    s = y.T @ y
-    s = (s + s.T) / 2.0
-    dec = linalg.sym_eigen(s)
+    k = min(y.shape)
+    dec = _gram_eigen(y)
     lam_max = max(dec.eigenvalues[0], 0.0)
     if dec.eigenvalues[k - 1] <= 1e-10 * max(lam_max, 1.0):
         raise RankDegenerateError(
@@ -144,18 +143,13 @@ def df_dy(x, y, alpha: int, beta: int) -> float:
     """
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
-    geo, _ = _locked_geometry(xv, yv)
-    u = geo.pinv @ xv
-    cx = geo.complement @ xv
-    return float(
-        -2.0 * (yv @ u)[alpha] * u[beta] + 2.0 * (yv @ (geo.pinv @ u))[alpha] * cx[beta]
-    )
+    return float(df_dy_matrix(xv, yv)[alpha, beta])
 
 
 def df_dy_matrix(x, y) -> np.ndarray:
     """All of dF/dY at once: -2 (Y S+ x)(S+ x)' + 2 (Y S+ S+ x)((I - SS+)x)'."""
     xv, yv = _checked_xy(x, y)
-    geo, _ = _locked_geometry(xv, yv)
+    geo, _ = _locked_geometry(yv)
     u = geo.pinv @ xv
     cx = geo.complement @ xv
     return -2.0 * np.outer(yv @ u, u) + 2.0 * np.outer(yv @ (geo.pinv @ u), cx)
@@ -170,7 +164,7 @@ def dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
     """
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
-    geo, _ = _locked_geometry(xv, yv)
+    geo, _ = _locked_geometry(yv)
     pv = geo.pinv
     c = geo.complement
     u = pv @ xv  # S+ x
@@ -202,10 +196,6 @@ def _fd_step(coord: float) -> float:
     return FD_STEP_SCALE * max(1.0, abs(coord))
 
 
-def _f_locked(x: np.ndarray, y: np.ndarray, rank: int) -> float:
-    return float(x @ (_pinv_locked(y, rank).pinv @ x))
-
-
 def _m_locked(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
     geo = _pinv_locked(y, rank)
     u = geo.pinv @ x
@@ -235,7 +225,7 @@ def fd_df_dy(x, y, alpha: int, beta: int) -> float:
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
     k = min(yv.shape)
-    return float(_central_diff_y(lambda m: _f_locked(xv, m, k), yv, alpha, beta))
+    return float(_central_diff_y(lambda m: xv @ (_pinv_locked(m, k).pinv @ xv), yv, alpha, beta))
 
 
 def fd_dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
@@ -262,7 +252,7 @@ def trace_grad_identity(
     """
     xv, yv = _checked_xy(x, y)
     n, p = yv.shape
-    geo, k = _locked_geometry(xv, yv)
+    geo, k = _locked_geometry(yv)
     u = geo.pinv @ xv
     f = float(xv @ u)
     rf = r(f)
@@ -371,13 +361,10 @@ def stein_identity_mc(
     r = spec.r
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
-    for start in range(0, replicates, CHUNK):
-        count = min(CHUNK, replicates - start)
+    for start in range(0, replicates, risk.CHUNK):
+        count = min(risk.CHUNK, replicates - start)
         x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, count)
-        ba = linalg.batch_pinv_factor(y, x)
-        x_sq = np.einsum("ri,ri->r", x, x)
-        psx_norm = np.linalg.norm(ba.psx, axis=1)
-        degen = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+        ba, degen = risk.batch_geometry(x, y)
         if degen.any():
             i = start + int(np.argmax(degen))
             raise RankDegenerateError(f"degenerate F at replicate {i}")
@@ -410,14 +397,12 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
 
     The trace of its Y-gradient is supplied analytically from the closed
     form -4 r r' + r^2 (p - 2m + 3)/F, the same expression checked by
-    trace_grad_identity. One batch_pinv_factor call serves the whole stack.
+    trace_grad_identity. One batch_geometry call serves the whole stack.
     """
     xv = np.asarray(x, dtype=float)
 
     def build(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ba = linalg.batch_pinv_factor(y, np.broadcast_to(xv, (y.shape[0], xv.size)))
-        psx_norm = np.linalg.norm(ba.psx, axis=1)
-        degen = f_degenerate(ba.f, float(xv @ xv), ba.rank, psx_norm, ba.lam_max_pinv)
+        ba, degen = risk.batch_geometry(np.broadcast_to(xv, (y.shape[0], xv.size)), y)
         if degen.any():
             i = int(np.argmax(degen))
             raise RankDegenerateError(
@@ -455,11 +440,9 @@ def stein_haff_mc(
     sigma_inv = linalg.inv_pd(sig)
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
-    for start in range(0, replicates, CHUNK):
-        count = min(CHUNK, replicates - start)
-        z = np.empty((count, n * p))
-        for j in range(count):
-            z[j] = randgen.RngStream(seed, start + j).generator().standard_normal(n * p)
+    for start in range(0, replicates, risk.CHUNK):
+        count = min(risk.CHUNK, replicates - start)
+        z = randgen.batch_standard_normal(seed, start, count, n * p)
         y = z.reshape(count, n, p) @ sqrt_sigma
         g, trace_grad = g_builder(y)
         g = np.asarray(g, dtype=float)
@@ -541,12 +524,10 @@ def finiteness_probe(
     sqrt_sigma = linalg.sym_sqrt_pd(sig)
     inv_f = np.empty(replicates)
     div = np.empty(replicates) if r is not None else None
-    for start in range(0, replicates, CHUNK):
-        count = min(CHUNK, replicates - start)
-        x, y = randgen.batch_normal_wishart(
-            p, n, t, sqrt_sigma, seed, start, count, x_scale=x_scale
-        )
-        ba = linalg.batch_pinv_factor(y, x)
+    for start in range(0, replicates, risk.CHUNK):
+        count = min(risk.CHUNK, replicates - start)
+        x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, count)
+        ba = linalg.batch_pinv_factor(y, x_scale * x)
         with np.errstate(divide="ignore"):
             inv_f[start : start + count] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
         if r is not None:
@@ -575,18 +556,6 @@ def finiteness_probe(
 
 FD_GRID = ((5, 3), (6, 4), (4, 6), (5, 5))
 MC_GRID = ((5, 3), (3, 5))
-
-SUITE_NAMES = (
-    "ds_dy",
-    "df_dy",
-    "dm_dy",
-    "trace_grad",
-    "div_x",
-    "sure_assembly",
-    "stein",
-    "stein_haff",
-    "finiteness",
-)
 
 
 def sample_identity_config(
@@ -648,65 +617,86 @@ def _worst(reports: list[IdentityReport], name: str) -> IdentityReport:
     )
 
 
-def _fd_sweep(name: str, seed: int, configs: int) -> IdentityReport:
-    r = _smooth_suite_r()
-    reports: list[IdentityReport] = []
-    for p, n in FD_GRID:
-        g = randgen.RngStream(seed, p * 1000 + n).generator()
-        for _ in range(configs):
-            x, y = sample_identity_config(p, n, g)
-            if name == "ds_dy":
-                pairs = [
-                    (ds_dy(y, a, b), fd_ds_dy(y, a, b))
-                    for a in range(n)
-                    for b in range(p)
-                ]
-                for analytic, oracle in pairs:
-                    reports.append(_report(name, analytic, oracle, 1e-5))
-            elif name == "df_dy":
-                fd = np.array(
-                    [[fd_df_dy(x, y, a, b) for b in range(p)] for a in range(n)]
-                )
-                reports.append(_report(name, df_dy_matrix(x, y), fd, 1e-5))
-            elif name == "dm_dy":
-                for a in range(n):
-                    for b in range(p):
-                        reports.append(
-                            _report(name, dm_dy(x, y, a, b), fd_dm_dy(x, y, a, b), 1e-5)
-                        )
-            elif name == "trace_grad":
-                reports.append(trace_grad_identity(x, y, r))
-            elif name == "div_x":
-                s = y.T @ y
-                reports.append(div_x_identity(x, (s + s.T) / 2.0, r))
-            else:
-                raise ValueError(f"unknown finite-difference sweep {name!r}")
-    return _worst(reports, name)
+def _fd_sweep(
+    name: str, check: Callable, stream: Callable[[int, int], int] = lambda p, n: p * 1000 + n
+) -> Callable[[int, int, int], IdentityReport]:
+    """Suite entry: the worst of check(x, y, r) over `configs` random (x, Y)
+    per (p, n) in FD_GRID, drawn from stream (seed, stream(p, n)). The
+    replicate count plays no part."""
+
+    def sweep(seed: int, configs: int, replicates: int) -> IdentityReport:
+        r = _smooth_suite_r()
+        reports: list[IdentityReport] = []
+        for p, n in FD_GRID:
+            g = randgen.RngStream(seed, stream(p, n)).generator()
+            for _ in range(configs):
+                x, y = sample_identity_config(p, n, g)
+                reports += check(x, y, r)
+        return _worst(reports, name)
+
+    return sweep
 
 
-def _sure_assembly_report(seed: int, configs: int) -> IdentityReport:
+def _ds_dy_checks(x, y, r) -> list[IdentityReport]:
+    return [
+        _report("ds_dy", ds_dy(y, a, b), fd_ds_dy(y, a, b), 1e-5) for a, b in np.ndindex(y.shape)
+    ]
+
+
+def _df_dy_checks(x, y, r) -> list[IdentityReport]:
+    n, p = y.shape
+    fd = np.array([[fd_df_dy(x, y, a, b) for b in range(p)] for a in range(n)])
+    return [_report("df_dy", df_dy_matrix(x, y), fd, 1e-5)]
+
+
+def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
+    return [
+        _report("dm_dy", dm_dy(x, y, a, b), fd_dm_dy(x, y, a, b), 1e-5)
+        for a, b in np.ndindex(y.shape)
+    ]
+
+
+def _div_x_checks(x, y, r) -> list[IdentityReport]:
+    s = y.T @ y
+    return [div_x_identity(x, (s + s.T) / 2.0, r)]
+
+
+def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     """Exact cross-check: n tr(G) plus the gradient-trace closed form must
     reassemble the quadratic coefficient of the risk-difference integrand,
-    r^2 (n + p - 2m + 3)/F - 4 r r'. No randomness beyond the configs."""
-    r = _smooth_suite_r()
-    reports = []
-    for p, n in FD_GRID:
-        g = randgen.RngStream(seed, 7000 + p * 10 + n).generator()
-        m = min(n, p)
-        for _ in range(configs):
-            x, y = sample_identity_config(p, n, g)
-            geo = _pinv_locked(y, m)
-            u = geo.pinv @ x
-            f = float(x @ u)
-            rf = r(f)
-            rdf = r.deriv(f)
-            gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)
-            assembled = n * float(np.trace(gmat)) + (
-                -4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f
-            )
-            target = rf * rf * (n + p - 2.0 * m + 3.0) / f - 4.0 * rf * rdf
-            reports.append(_report("sure_assembly", assembled, target, 1e-12))
-    return _worst(reports, "sure_assembly")
+    r^2 (n + p - 2m + 3)/F - 4 r r'."""
+    n, p = y.shape
+    m = min(n, p)
+    geo = _pinv_locked(y, m)
+    u = geo.pinv @ x
+    f = float(x @ u)
+    rf = r(f)
+    rdf = r.deriv(f)
+    gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)
+    assembled = n * float(np.trace(gmat)) + (-4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f)
+    target = rf * rf * (n + p - 2.0 * m + 3.0) / f - 4.0 * rf * rdf
+    return [_report("sure_assembly", assembled, target, 1e-12)]
+
+
+def _stein_report(seed: int, replicates: int) -> IdentityReport:
+    spec = Baranchik(constant_shrinkage(0.3))
+    subs = [
+        stein_identity_mc(np.zeros(p), np.eye(p), n, spec, replicates, seed + 100 + i)
+        for i, (p, n) in enumerate(MC_GRID)
+    ]
+    return _worst(subs, "stein")
+
+
+def _stein_haff_report(seed: int, replicates: int) -> IdentityReport:
+    subs = [
+        stein_haff_mc(n, np.eye(p), build, replicates=replicates, seed=seed + offset + i)
+        for i, (p, n) in enumerate(MC_GRID)
+        for offset, build in (
+            (200, eye_g_builder(p)),
+            (300, shrinkage_g_builder(np.ones(p), constant_shrinkage(0.3))),
+        )
+    ]
+    return _worst(subs, "stein_haff")
 
 
 def _finiteness_report(seed: int) -> IdentityReport:
@@ -727,6 +717,23 @@ def _finiteness_report(seed: int) -> IdentityReport:
     )
 
 
+# Identity name -> report(seed, fd_configs, mc_replicates), in report order.
+_SUITE: dict[str, Callable[[int, int, int], IdentityReport]] = {
+    "ds_dy": _fd_sweep("ds_dy", _ds_dy_checks),
+    "df_dy": _fd_sweep("df_dy", _df_dy_checks),
+    "dm_dy": _fd_sweep("dm_dy", _dm_dy_checks),
+    "trace_grad": _fd_sweep("trace_grad", lambda x, y, r: [trace_grad_identity(x, y, r)]),
+    "div_x": _fd_sweep("div_x", _div_x_checks),
+    "sure_assembly": _fd_sweep(
+        "sure_assembly", _sure_assembly_checks, lambda p, n: 7000 + p * 10 + n
+    ),
+    "stein": lambda seed, configs, reps: _stein_report(seed, reps),
+    "stein_haff": lambda seed, configs, reps: _stein_haff_report(seed, reps),
+    "finiteness": lambda seed, configs, reps: _finiteness_report(seed + 400),
+}
+SUITE_NAMES = tuple(_SUITE)
+
+
 def run_default_suite(
     seed: int = 13,
     only: str | None = None,
@@ -735,52 +742,16 @@ def run_default_suite(
 ) -> list[IdentityReport]:
     """The full identity suite at its standard settings, one report per name.
 
-    Finite-difference identities sweep fd_configs random configurations per
-    (p, n) in FD_GRID and report the worst case; the stein and stein_haff
-    Monte-Carlo identities run on MC_GRID at mc_replicates. The finiteness
-    probe has a fixed size, 10 000 replicates at each of two shapes, whatever
-    mc_replicates is. `only` restricts to a single name.
+    Finite-difference identities sweep fd_configs (at least 1) random
+    configurations per (p, n) in FD_GRID and report the worst case; the
+    stein and stein_haff Monte-Carlo identities run on MC_GRID at
+    mc_replicates. The finiteness probe has a fixed size, 10 000 replicates
+    at each of two shapes, whatever mc_replicates is. `only` restricts to a
+    single name.
     """
-    if only is not None and only not in SUITE_NAMES:
+    if only is not None and only not in _SUITE:
         raise ValueError(f"unknown identity {only!r}; choose from {', '.join(SUITE_NAMES)}")
-    wanted = [only] if only else list(SUITE_NAMES)
-    reports = []
-    for name in wanted:
-        if name in ("ds_dy", "df_dy", "dm_dy", "trace_grad", "div_x"):
-            reports.append(_fd_sweep(name, seed, fd_configs))
-        elif name == "sure_assembly":
-            reports.append(_sure_assembly_report(seed, fd_configs))
-        elif name == "stein":
-            subs = [
-                stein_identity_mc(
-                    np.zeros(p),
-                    np.eye(p),
-                    n,
-                    Baranchik(constant_shrinkage(0.3)),
-                    replicates=mc_replicates,
-                    seed=seed + 100 + i,
-                )
-                for i, (p, n) in enumerate(MC_GRID)
-            ]
-            reports.append(_worst(subs, "stein"))
-        elif name == "stein_haff":
-            subs = []
-            for i, (p, n) in enumerate(MC_GRID):
-                subs.append(
-                    stein_haff_mc(
-                        n, np.eye(p), eye_g_builder(p), replicates=mc_replicates, seed=seed + 200 + i
-                    )
-                )
-                subs.append(
-                    stein_haff_mc(
-                        n,
-                        np.eye(p),
-                        shrinkage_g_builder(np.ones(p), constant_shrinkage(0.3)),
-                        replicates=mc_replicates,
-                        seed=seed + 300 + i,
-                    )
-                )
-            reports.append(_worst(subs, "stein_haff"))
-        elif name == "finiteness":
-            reports.append(_finiteness_report(seed + 400))
-    return reports
+    if fd_configs < 1:
+        raise ValueError(f"fd_configs must be at least 1, got {fd_configs}")
+    wanted = [only] if only else SUITE_NAMES
+    return [_SUITE[name](seed, fd_configs, mc_replicates) for name in wanted]

@@ -344,5 +344,10 @@ def batch_pinv_factor(y_stack, x_stack, rel_tol: float | None = None) -> BatchPi
     c = np.einsum("rjk,rj->rk", u, b) * inv_w  # U'G+b; zero past the rank
     f = np.einsum("rk,rk->r", c, c)
     psx = np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", u, c))
-    spx = np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", u, c * inv_w))
+    # G+^2 b ~ |Y|^-3 over- or underflows for extreme |Y| where S+x ~ |Y|^-2
+    # does not. Carrying it scaled by a power of two t ~ |Y|_F = sqrt(tr G)
+    # is exact, so the bits are those of Y'(G+^2 b) whenever that was finite.
+    t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
+    d = np.einsum("rjk,rk->rj", u, c * (inv_w * t[:, None]))
+    spx = np.einsum("rnp,rn->rp", y, d) / t[:, None]
     return BatchPinvApply(f=f, rank=rank, psx=psx, spx=spx, lam_max_pinv=lam_max_pinv)

@@ -204,6 +204,15 @@ def sample_wishart(n: int, sigma, rng) -> WishartDraw:
     return WishartDraw(y=y, s=(gram + gram.T) / 2.0, n=int(n), p=s.shape[0])
 
 
+def batch_standard_normal(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
+    """(count, width) array whose row j is the first width standard normals
+    of stream (master_seed, start + j)."""
+    z = np.empty((count, width))
+    for j in range(count):
+        z[j] = RngStream(master_seed, start + j).generator().standard_normal(width)
+    return z
+
+
 def batch_normal_wishart(
     p: int,
     n: int,
@@ -212,21 +221,17 @@ def batch_normal_wishart(
     master_seed: int,
     start: int,
     count: int,
-    x_scale: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Block draws of (X_i, Y_i) for replicate streams start .. start+count-1.
 
     Stream i yields p standard normals for X, then n*p (row-major) for Y:
-    X_i = x_scale * (theta + z_x A) and Y_i has rows z A. Splitting one
-    stream this way reproduces sample_normal followed by sample_wishart on
-    the same generator variate for variate. x_scale rescales the sampled X
-    (a probe hook; 1.0 leaves the draw untouched).
+    X_i = theta + z_x A and Y_i has rows z A. Splitting one stream this way
+    reproduces sample_normal followed by sample_wishart on the same
+    generator variate for variate.
 
     Returns X with shape (count, p) and Y with shape (count, n, p).
     """
-    z = np.empty((count, p + n * p))
-    for j in range(count):
-        z[j] = RngStream(master_seed, start + j).generator().standard_normal(p + n * p)
-    x = x_scale * (theta + z[:, :p] @ sqrt_sigma)
+    z = batch_standard_normal(master_seed, start, count, p + n * p)
+    x = theta + z[:, :p] @ sqrt_sigma
     y = z[:, p:].reshape(count, n, p) @ sqrt_sigma
     return x, y

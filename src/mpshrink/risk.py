@@ -74,6 +74,15 @@ def unbiased_risk_difference(
     return float(_risk_difference(r, g.f, float(g.pr.rank), g.x.size, n))
 
 
+def batch_geometry(x, y, rel_tol: float | None = None) -> tuple[linalg.BatchPinvApply, np.ndarray]:
+    """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x,
+    rel_tol) and the (R,) f_degenerate mask, the rule every engine applies."""
+    ba = linalg.batch_pinv_factor(y, x, rel_tol)
+    x_sq = np.einsum("ri,ri->r", x, x)
+    psx_norm = np.linalg.norm(ba.psx, axis=1)
+    return ba, f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+
+
 @dataclass(frozen=True, eq=False)
 class RiskEstimate:
     """Monte-Carlo mean loss with its standard error."""
@@ -172,10 +181,7 @@ def run_replicates(
         x, y = randgen.batch_normal_wishart(
             cfg.p, cfg.n, theta, sqrt_sigma, cfg.master_seed, start, count
         )
-        ba = linalg.batch_pinv_factor(y, x, rel_tol)
-        x_sq = np.einsum("ri,ri->r", x, x)
-        psx_norm = np.linalg.norm(ba.psx, axis=1)
-        degen = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+        ba, degen = batch_geometry(x, y, rel_tol)
         f_safe = np.where(degen, 1.0, ba.f)
         centered = x - theta
         for k, spec in enumerate(specs):

@@ -1,9 +1,12 @@
 import json
+import re
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mpshrink import cli
 from mpshrink.cli import (
     CSV_HEADER,
     IDENTITY_CSV_HEADER,
@@ -80,6 +83,45 @@ def test_parse_cov_variants():
 def test_parse_comments_and_blank_lines():
     text = "# top comment\n\n[global]\n; semicolon comment\nmaster_seed = 5\n[s]\np = 4\nn = 3\ncov = identity\n"
     assert parse_config(text).master_seed == 5
+
+
+def test_parse_inline_comments():
+    text = (
+        "[global]   # optional\nmaster_seed = 5 ; five\n"
+        "[s]\t; one scenario\np = 4\t# four\nn = 3\ncov = identity  # id\n"
+    )
+    manifest = parse_config(text)
+    assert manifest.master_seed == 5
+    assert manifest.scenarios[0].p == 4
+    assert manifest.scenarios[0].cov == Identity()
+
+
+def test_parse_hash_without_whitespace_stays_in_value():
+    expect_error("[s]\np = 4\nn = 3\ncov = identity#x\n", "unknown covariance 'identity#x'", line=4)
+
+
+def test_parse_readme_config_example():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    manifest = parse_config(block)
+    assert manifest.master_seed == 20260801
+    assert manifest.emit_svg
+    assert manifest.output_dir == "out"
+    (cfg,) = manifest.scenarios
+    assert cfg.name == "p10-n5-ar"
+    assert (cfg.p, cfg.n, cfg.replicates, cfg.master_seed) == (10, 5, 100000, 7)
+    assert cfg.cov == Autoregressive(0.5)
+    assert [e.label for e in cfg.estimators] == ["usual", "js(0.375)", "js+(0.375)"]
+    assert list(cfg.theta_norms) == [0.0, 1.0, 2.5]
+
+
+def test_parse_module_docstring_config_example():
+    block = cli.__doc__.split("[global] section:\n")[1].split("\n\nScenario keys")[0]
+    manifest = parse_config(textwrap.dedent(block))
+    assert (manifest.master_seed, manifest.emit_svg) == (20120301, True)
+    (cfg,) = manifest.scenarios
+    assert cfg.cov == Spiked()
+    assert [e.label for e in cfg.estimators] == ["usual", "js(0.375)", "js+(0.375)"]
 
 
 def expect_error(text, fragment, line=None):
@@ -364,6 +406,17 @@ def test_main_verify_subcommand(capsys):
     code = main(["verify", "--only", "sure_assembly", "--configs", "2"])
     assert code == 0
     assert "sure_assembly" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("configs", ["0", "-3"])
+def test_main_verify_rejects_nonpositive_configs(configs, capsys):
+    assert main(["verify", "--configs", configs]) == 2
+    assert "error: --configs must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_rejects_zero_fd_configs(capsys):
+    assert verify(only="sure_assembly", fd_configs=0) == 2
+    assert "fd_configs must be at least 1" in capsys.readouterr().err
 
 
 def test_main_requires_subcommand():

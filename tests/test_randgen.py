@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpshrink import linalg
 from mpshrink.randgen import (
@@ -10,6 +12,7 @@ from mpshrink.randgen import (
     RngStream,
     Spiked,
     batch_normal_wishart,
+    batch_standard_normal,
     build_covariance,
     cov_label,
     sample_normal,
@@ -240,10 +243,15 @@ def test_batch_start_offset_consistency():
     assert np.array_equal(y_all[2:4], y_tail)
 
 
-def test_batch_x_scale():
-    p, n = 3, 3
-    theta = np.ones(p)
-    x1, y1 = batch_normal_wishart(p, n, theta, np.eye(p), 2, start=0, count=2)
-    x2, y2 = batch_normal_wishart(p, n, theta, np.eye(p), 2, start=0, count=2, x_scale=2.0)
-    assert np.array_equal(x2, 2.0 * x1)
-    assert np.array_equal(y2, y1)
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    start=st.integers(min_value=0, max_value=10_000),
+    count=st.integers(min_value=0, max_value=5),
+    width=st.integers(min_value=0, max_value=30),
+)
+def test_batch_standard_normal_rows_are_streams(seed, start, count, width):
+    z = batch_standard_normal(seed, start, count, width)
+    assert z.shape == (count, width)
+    for j in range(count):
+        assert np.array_equal(z[j], RngStream(seed, start + j).generator().standard_normal(width))

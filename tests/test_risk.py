@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpshrink import linalg
 from mpshrink.estimators import (
@@ -14,12 +16,14 @@ from mpshrink.estimators import (
     constant_shrinkage,
     estimate,
     js_default_constant,
+    pinv_geometry,
     positive_part_shrinkage,
 )
 from mpshrink.randgen import Identity, RngStream, Spiked, batch_normal_wishart
 from mpshrink.risk import (
     RiskRow,
     ScenarioConfig,
+    batch_geometry,
     default_theta_norms,
     invariant_loss,
     mc_risk,
@@ -342,3 +346,52 @@ def test_risk_curve_deterministic():
 def test_risk_curve_empty_estimators():
     cfg = ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[])
     assert risk_curve(cfg) == []
+
+
+# ------------------------------------------------------------ batch geometry
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    p=st.integers(min_value=3, max_value=14),
+    side=st.sampled_from(["thin", "square"]),
+    n_pick=st.integers(min_value=0, max_value=1000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_batch_geometry_matches_scalar_pinv_geometry(p, side, n_pick, seed):
+    """Mask, rank, F and P_S x of batch_geometry match pinv_geometry's per
+    replicate, on both kernel sides. Entry 1 has x orthogonal to the rows
+    of Y (when n < p) and entry 2 a zero Y: both must be degenerate."""
+    thin_max = int(np.floor(linalg.THIN_SIDE_RATIO * p))
+    n = 1 + n_pick % thin_max if side == "thin" else thin_max + 1 + n_pick % (p + 2 - thin_max)
+    rng = np.random.default_rng(seed)
+    y = rng.standard_normal((4, n, p))
+    x = rng.standard_normal((4, p))
+    if n < p:
+        q, _ = np.linalg.qr(y[1].T)
+        x[1] -= q @ (q.T @ x[1])
+    y[2] = 0.0
+    s = y.transpose(0, 2, 1) @ y
+    s = (s + s.transpose(0, 2, 1)) / 2.0
+    w = np.linalg.eigvalsh(s)
+    cutoff = linalg.default_rel_tol(p) * w[:, -1:]
+    # No eigenvalue within 10x of the cutoff, where two solvers may disagree on the rank.
+    assume(np.all((w >= 10.0 * cutoff) | (w <= cutoff / 10.0)))
+    kept_min = np.where(w > cutoff, w, np.inf).min(axis=1)
+    kappa = float(np.max(np.where(np.isfinite(kept_min), w[:, -1] / kept_min, 1.0)))
+    tol = max(1e-10, 1e-12 * kappa)
+
+    ba, degen = batch_geometry(x, y)
+    assert degen.shape == (4,)
+    assert degen[2] and ba.rank[2] == 0
+    if n < p:
+        assert degen[1]
+    for i in range(4):
+        g = pinv_geometry(x[i], s[i])
+        assert bool(degen[i]) == g.degenerate
+        assert ba.rank[i] == g.pr.rank
+        scale = max(1.0, float(np.linalg.norm(x[i])))
+        assert np.linalg.norm(ba.psx[i] - g.psx) <= tol * scale
+        # F = x'S+x is at most |x|^2 lambda_max(S+), its rounding scale; F far
+        # below that (x nearly orthogonal to the rows of Y) is all cancellation.
+        assert abs(ba.f[i] - g.f) <= tol * float(x[i] @ x[i]) * ba.lam_max_pinv[i]
