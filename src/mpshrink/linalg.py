@@ -20,7 +20,7 @@ MAX_DIM = 512
 # floating-point noise before it is rejected.
 PSD_SLACK = 1e-8
 
-# batch_pinv_factor solves in the n x n Gram YY' when n <= THIN_SIDE_RATIO * p.
+# factor_stack solves in the n x n Gram YY' when n <= THIN_SIDE_RATIO * p.
 # On 2048-replicate stacks the thin side is 3-15x faster at n = p/2 and no
 # faster from about n = 0.85 p on. Near n = p the smallest eigenvalue of S
 # sits at the edge of the Marchenko-Pastur law, where any two solvers agree
@@ -241,11 +241,30 @@ class BatchPinvApply:
     lam_max_pinv: np.ndarray
 
 
-def _check_finite(a: np.ndarray, x: np.ndarray, what: str) -> None:
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(x).all(axis=1)
+@dataclass(eq=False)
+class PinvFactor:
+    """The x-independent half of the batched pseudoinverse for a stack of S_i.
+
+    vectors are the eigenvectors (ascending order) of S_i, or of the Gram
+    matrix G_i = Y_i Y_i' on the thin side, where y holds the Y_i and scale
+    the power of two t_i that apply_factor carries G+^2 b by. keep, rank,
+    inv_w and lam_max_pinv are the cutoff rule's outputs (_batch_spectrum).
+    """
+
+    vectors: np.ndarray
+    keep: np.ndarray
+    rank: np.ndarray
+    inv_w: np.ndarray
+    lam_max_pinv: np.ndarray
+    y: np.ndarray | None = None
+    scale: np.ndarray | None = None
+
+
+def _check_finite(a: np.ndarray, what: str) -> None:
+    finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
-        raise ValueError(f"stack entry {i}: {what} or x has non-finite entries")
+        raise ValueError(f"stack entry {i}: {what} has non-finite entries")
 
 
 def _batch_spectrum(a: np.ndarray, rel_tol: float):
@@ -276,6 +295,82 @@ def _batch_spectrum(a: np.ndarray, rel_tol: float):
     return v, keep, rank, inv_w, lam_max_pinv
 
 
+def _square_factor(s: np.ndarray, rel_tol: float | None) -> PinvFactor:
+    _check_finite(s, "S")
+    if rel_tol is None:
+        rel_tol = default_rel_tol(s.shape[1])
+    return PinvFactor(*_batch_spectrum(s, rel_tol))
+
+
+def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
+    """Factor S_i = Y_i'Y_i for repeated apply_factor calls, in the smaller
+    Gram matrix.
+
+    y_stack has shape (R, n, p). For n <= THIN_SIDE_RATIO * p the nonzero
+    spectrum of S is that of G = YY' (n x n), which is decomposed;
+    otherwise S = Y'Y is formed and symmetrised. The cutoff rule is the
+    p x p one (rel_tol * lambda_max, rel_tol defaulting to
+    default_rel_tol(p)), and G's nonzero eigenvalues are S's, so ranks
+    agree. A non-finite Gram matrix is rejected, naming the stack entry.
+    """
+    y = np.asarray(y_stack, dtype=float)
+    if y.ndim != 3:
+        raise DimensionMismatchError(f"expected a (R, n, p) stack, got shape {y.shape}")
+    _, n, p = y.shape
+    yt = y.transpose(0, 2, 1)
+    if n > THIN_SIDE_RATIO * p:
+        s = yt @ y
+        s = (s + s.transpose(0, 2, 1)) / 2.0
+        return _square_factor(s, rel_tol)
+    g = y @ yt
+    g = (g + g.transpose(0, 2, 1)) / 2.0
+    # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
+    _check_finite(g, "YY'")
+    if rel_tol is None:
+        rel_tol = default_rel_tol(p)
+    # G+^2 b ~ |Y|^-3 over- or underflows for extreme |Y| where S+x ~ |Y|^-2
+    # does not. Carrying it scaled by a power of two t ~ |Y|_F = sqrt(tr G)
+    # is exact, so the bits are those of Y'(G+^2 b) whenever that was finite.
+    t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
+    return PinvFactor(*_batch_spectrum(g, rel_tol), y=y, scale=t)
+
+
+def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
+    """F, P_S x, S+ x and lambda_max(S+) for one (R, p) stack of x.
+
+    On the thin side, with G = U diag(w) U' and b = Yx,
+
+        F = sum_k (u_k'b / w_k)^2,  P_S x = Y'G+ b,  S+ x = Y'G+^2 b,
+
+    and lambda_max(S+) = 1 / the smallest kept w. A non-finite x is
+    rejected, naming the stack entry.
+    """
+    v, inv_w, y = factor.vectors, factor.inv_w, factor.y
+    x = np.asarray(x_stack, dtype=float)
+    shape = (v.shape[0], v.shape[1] if y is None else y.shape[2])
+    if x.shape != shape:
+        raise DimensionMismatchError(
+            f"vector stack shape {x.shape} does not match the factor's {shape}"
+        )
+    _check_finite(x, "x")
+    if y is None:
+        ckeep = np.where(factor.keep, np.einsum("rjk,rj->rk", v, x), 0.0)
+        f = np.einsum("rk,rk->r", ckeep * inv_w, ckeep)
+        psx = np.einsum("rjk,rk->rj", v, ckeep)
+        spx = np.einsum("rjk,rk->rj", v, ckeep * inv_w)
+    else:
+        b = np.einsum("rnp,rp->rn", y, x)
+        c = np.einsum("rjk,rj->rk", v, b) * inv_w  # U'G+b; zero past the rank
+        f = np.einsum("rk,rk->r", c, c)
+        psx = np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", v, c))
+        t = factor.scale
+        d = np.einsum("rjk,rk->rj", v, c * (inv_w * t[:, None]))
+        spx = np.einsum("rnp,rn->rp", y, d) / t[:, None]
+    return BatchPinvApply(
+        f=f, rank=factor.rank, psx=psx, spx=spx, lam_max_pinv=factor.lam_max_pinv
+    )
+
+
 def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
     """Vectorized x' S+ x, P_S x and S+ x over stacked symmetric PSD matrices.
 
@@ -285,69 +380,12 @@ def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPin
     entries are rejected, naming the first bad stack entry.
     """
     s = np.asarray(s_stack, dtype=float)
-    x = np.asarray(x_stack, dtype=float)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise DimensionMismatchError(f"expected a (R, p, p) stack, got shape {s.shape}")
-    if x.shape != s.shape[:2]:
-        raise DimensionMismatchError(
-            f"vector stack shape {x.shape} does not match matrix stack {s.shape}"
-        )
-    _check_finite(s, x, "S")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(s.shape[1])
-    v, keep, rank, inv_w, lam_max_pinv = _batch_spectrum(s, rel_tol)
-    ckeep = np.where(keep, np.einsum("rjk,rj->rk", v, x), 0.0)
-    f = np.einsum("rk,rk->r", ckeep * inv_w, ckeep)
-    psx = np.einsum("rjk,rk->rj", v, ckeep)
-    spx = np.einsum("rjk,rk->rj", v, ckeep * inv_w)
-    return BatchPinvApply(f=f, rank=rank, psx=psx, spx=spx, lam_max_pinv=lam_max_pinv)
+    return apply_factor(_square_factor(s, rel_tol), x_stack)
 
 
 def batch_pinv_factor(y_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
-    """batch_pinv_apply for S_i = Y_i'Y_i, solved in the smaller Gram matrix.
-
-    y_stack has shape (R, n, p) and x_stack shape (R, p). For
-    n <= THIN_SIDE_RATIO * p the nonzero spectrum of S is that of
-    G = YY' (n x n): with G = U diag(w) U' and b = Yx,
-
-        F = sum_k (u_k'b / w_k)^2,  P_S x = Y'G+ b,  S+ x = Y'G+^2 b,
-
-    and lambda_max(S+) = 1 / the smallest kept w. The cutoff rule is the
-    p x p one (rel_tol * lambda_max, rel_tol defaulting to
-    default_rel_tol(p)), and G's nonzero eigenvalues are S's, so ranks
-    agree. Otherwise S = Y'Y is formed, symmetrised and handed to
-    batch_pinv_apply. A non-finite Gram matrix or x is rejected, naming the
-    stack entry.
-    """
-    y = np.asarray(y_stack, dtype=float)
-    x = np.asarray(x_stack, dtype=float)
-    if y.ndim != 3:
-        raise DimensionMismatchError(f"expected a (R, n, p) stack, got shape {y.shape}")
-    _, n, p = y.shape
-    if x.shape != (y.shape[0], p):
-        raise DimensionMismatchError(
-            f"vector stack shape {x.shape} does not match factor stack {y.shape}"
-        )
-    yt = y.transpose(0, 2, 1)
-    if n > THIN_SIDE_RATIO * p:
-        s = yt @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        return batch_pinv_apply(s, x, rel_tol)
-    g = y @ yt
-    g = (g + g.transpose(0, 2, 1)) / 2.0
-    # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
-    _check_finite(g, x, "YY'")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(p)
-    u, _, rank, inv_w, lam_max_pinv = _batch_spectrum(g, rel_tol)
-    b = np.einsum("rnp,rp->rn", y, x)
-    c = np.einsum("rjk,rj->rk", u, b) * inv_w  # U'G+b; zero past the rank
-    f = np.einsum("rk,rk->r", c, c)
-    psx = np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", u, c))
-    # G+^2 b ~ |Y|^-3 over- or underflows for extreme |Y| where S+x ~ |Y|^-2
-    # does not. Carrying it scaled by a power of two t ~ |Y|_F = sqrt(tr G)
-    # is exact, so the bits are those of Y'(G+^2 b) whenever that was finite.
-    t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
-    d = np.einsum("rjk,rk->rj", u, c * (inv_w * t[:, None]))
-    spx = np.einsum("rnp,rn->rp", y, d) / t[:, None]
-    return BatchPinvApply(f=f, rank=rank, psx=psx, spx=spx, lam_max_pinv=lam_max_pinv)
+    """batch_pinv_apply for S_i = Y_i'Y_i, solved in the smaller Gram matrix:
+    factor_stack(y_stack, rel_tol), then apply_factor with x_stack (R, p)."""
+    return apply_factor(factor_stack(y_stack, rel_tol), x_stack)

@@ -78,9 +78,13 @@ def batch_geometry(x, y, rel_tol: float | None = None) -> tuple[linalg.BatchPinv
     """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x,
     rel_tol) and the (R,) f_degenerate mask, the rule every engine applies."""
     ba = linalg.batch_pinv_factor(y, x, rel_tol)
+    return ba, _degenerate(ba, x)
+
+
+def _degenerate(ba: linalg.BatchPinvApply, x) -> np.ndarray:
     x_sq = np.einsum("ri,ri->r", x, x)
     psx_norm = np.linalg.norm(ba.psx, axis=1)
-    return ba, f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+    return f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,59 +149,70 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class ReplicateStudy:
-    """Per-replicate losses (one row per estimator) on common draws."""
+    """Per-replicate losses (one row per estimator) on common draws, and the
+    unbiased risk-difference integrand when one was asked for. From
+    run_study both carry a leading theta axis."""
 
     losses: np.ndarray
     sure: np.ndarray | None = None
 
 
-def run_replicates(
+def run_study(
     cfg: ScenarioConfig,
     specs: list,
-    theta_norm: float,
+    theta_norms,
     sure_r: ShrinkageFunction | None = None,
     jobs: int = 1,
 ) -> ReplicateStudy:
-    """Per-replicate invariant losses of each spec, all on common draws.
+    """Per-replicate invariant losses of each spec at each |theta|, all on
+    common draws: losses has shape (theta, spec, replicate) and sure, when
+    sure_r is given, (theta, replicate).
 
     Replicate i reads stream (cfg.master_seed, i): p variates for X, then
-    n*p for Y. When sure_r is given, the unbiased risk-difference integrand
-    for that curve is evaluated on the same draws (a degenerate F aborts the
-    run, naming the replicate). jobs > 1 distributes fixed-size chunks over
+    n*p for Y. Each chunk of replicates is drawn and its S = Y'Y factored
+    once; only X = theta + z_x Sigma^{1/2} changes along the theta loop.
+    When sure_r is given, the unbiased risk-difference integrand for that
+    curve is evaluated on the same draws (a degenerate F aborts the run,
+    naming the replicate). jobs > 1 distributes fixed-size chunks over
     threads; chunk boundaries and the reduction order never change, so
     results are independent of jobs.
     """
     sigma = randgen.build_covariance(cfg.cov, cfg.p)
     sqrt_sigma = linalg.sym_sqrt_pd(sigma)
     sigma_inv = linalg.inv_pd(sigma)
-    theta = float(theta_norm) * cfg.theta_direction
+    norms = [float(tn) for tn in theta_norms]
     rel_tol = linalg.default_rel_tol(cfg.p)
     total = cfg.replicates
-    losses = np.empty((len(specs), total))
-    sure = np.empty(total) if sure_r is not None else None
+    losses = np.empty((len(norms), len(specs), total))
+    sure = np.empty((len(norms), total)) if sure_r is not None else None
 
     def process(start: int) -> None:
         count = min(CHUNK, total - start)
-        x, y = randgen.batch_normal_wishart(
-            cfg.p, cfg.n, theta, sqrt_sigma, cfg.master_seed, start, count
+        stop = start + count
+        # Drawn at theta = 0: theta + (0 + z_x A) equals a draw made at theta.
+        noise, y = randgen.batch_normal_wishart(
+            cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, count
         )
-        ba, degen = batch_geometry(x, y, rel_tol)
-        f_safe = np.where(degen, 1.0, ba.f)
-        centered = x - theta
-        for k, spec in enumerate(specs):
-            # Degenerate draws keep x: their factor minus one is zero.
-            sf = 1.0 - spec.r.value(ba.f) / f_safe
-            d = centered + np.where(degen, 0.0, sf - 1.0)[:, None] * ba.psx
-            losses[k, start : start + count] = np.einsum(
-                "ri,ij,rj->r", d, sigma_inv, d
-            )
-        if sure_r is not None:
-            if degen.any():
-                i = start + int(np.argmax(degen))
-                raise DegenerateFError(f"degenerate F at replicate {i}")
-            sure[start : start + count] = _risk_difference(
-                sure_r, ba.f, ba.rank.astype(float), cfg.p, cfg.n
-            )
+        factor = linalg.factor_stack(y, rel_tol)
+        for t, tn in enumerate(norms):
+            theta = tn * cfg.theta_direction
+            x = theta + noise
+            ba = linalg.apply_factor(factor, x)
+            degen = _degenerate(ba, x)
+            f_safe = np.where(degen, 1.0, ba.f)
+            centered = x - theta
+            for k, spec in enumerate(specs):
+                # Degenerate draws keep x: their factor minus one is zero.
+                sf = 1.0 - spec.r.value(ba.f) / f_safe
+                d = centered + np.where(degen, 0.0, sf - 1.0)[:, None] * ba.psx
+                losses[t, k, start:stop] = np.einsum("ri,ij,rj->r", d, sigma_inv, d)
+            if sure_r is not None:
+                if degen.any():
+                    i = start + int(np.argmax(degen))
+                    raise DegenerateFError(f"degenerate F at replicate {i}, |theta| = {tn:g}")
+                sure[t, start:stop] = _risk_difference(
+                    sure_r, ba.f, ba.rank.astype(float), cfg.p, cfg.n
+                )
 
     starts = range(0, total, CHUNK)
     if jobs <= 1 or len(starts) <= 1:
@@ -210,6 +225,21 @@ def run_replicates(
             for res in pool.map(process, starts):
                 pass
     return ReplicateStudy(losses=losses, sure=sure)
+
+
+def run_replicates(
+    cfg: ScenarioConfig,
+    specs: list,
+    theta_norm: float,
+    sure_r: ShrinkageFunction | None = None,
+    jobs: int = 1,
+) -> ReplicateStudy:
+    """run_study at the one |theta| = theta_norm: losses of shape (spec,
+    replicate) and sure of shape (replicate,)."""
+    study = run_study(cfg, specs, [theta_norm], sure_r, jobs)
+    return ReplicateStudy(
+        losses=study.losses[0], sure=None if sure_r is None else study.sure[0]
+    )
 
 
 def summarize_losses(arr: np.ndarray, keep_losses: bool = False) -> RiskEstimate:
@@ -254,21 +284,17 @@ class RiskRow:
 def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
     """Risk table over cfg.theta_norms x cfg.estimators.
 
-    All estimators at a given theta_norm share draws. Rows are grouped by
+    Every cell reads the same draws (one run_study). Rows are grouped by
     estimator, then ordered by theta_norm.
     """
     if not cfg.estimators:
         return []
-    cells: dict[tuple[int, float], RiskEstimate] = {}
-    for tn in cfg.theta_norms:
-        study = run_replicates(cfg, cfg.estimators, float(tn), jobs=jobs)
-        for k in range(len(cfg.estimators)):
-            cells[(k, float(tn))] = summarize_losses(study.losses[k])
+    study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
     cov_name = randgen.cov_label(cfg.cov)
     rows = []
     for k, spec in enumerate(cfg.estimators):
-        for tn in cfg.theta_norms:
-            est = cells[(k, float(tn))]
+        for t, tn in enumerate(cfg.theta_norms):
+            est = summarize_losses(study.losses[t, k])
             rows.append(
                 RiskRow(
                     scenario=cfg.name,

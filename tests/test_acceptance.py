@@ -30,7 +30,7 @@ from mpshrink.estimators import (
 )
 from mpshrink.identities import run_default_suite
 from mpshrink.randgen import Autoregressive, BlockDiagonal, RngStream, Spiked, cov_label
-from mpshrink.risk import ScenarioConfig, mc_risk, run_replicates
+from mpshrink.risk import ScenarioConfig, mc_risk, run_study
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -63,7 +63,8 @@ def _key(p, n, cov, norm) -> str:
 
 @pytest.fixture(scope="module")
 def grid_stats():
-    """One 100k-replicate study per grid cell, reduced to scalar statistics.
+    """One 100k-replicate study per (p, n, Sigma) over both signal strengths,
+    reduced to scalar statistics per grid cell.
 
     Losses for usual, James-Stein, and positive-part run on common draws,
     with the unbiased risk difference evaluated alongside. Keeping only the
@@ -84,12 +85,12 @@ def grid_stats():
                 replicates=FIDELITY_REPLICATES,
                 master_seed=MASTER_SEED,
             )
-            for norm in (0.0, math.sqrt(p)):
-                study = run_replicates(
-                    cfg, specs, norm, sure_r=constant_shrinkage(a), jobs=JOBS
-                )
-                loss_u, loss_js, loss_pp = study.losses
-                sure_gap = study.sure - (loss_js - loss_u)
+            study = run_study(
+                cfg, specs, cfg.theta_norms, sure_r=constant_shrinkage(a), jobs=JOBS
+            )
+            for norm, losses, sure in zip(cfg.theta_norms, study.losses, study.sure):
+                loss_u, loss_js, loss_pp = losses
+                sure_gap = sure - (loss_js - loss_u)
                 pp_gap = loss_pp - loss_js
                 root_r = math.sqrt(FIDELITY_REPLICATES)
                 cells.append(
@@ -258,7 +259,7 @@ def test_criterion_7_positive_part_no_worse(grid_stats):
 
 # Enough replicates to span several scheduling chunks, so different --jobs
 # values genuinely split the work; byte-identity does not depend on the
-# count, and the configured 10^5 would turn this into an hour-scale test.
+# count, and the configured 10^5 would take two 7-minute runs.
 C8_REPLICATES = 2500
 
 

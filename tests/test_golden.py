@@ -1,0 +1,43 @@
+"""Golden-bytes check of `mpshrink run`.
+
+The files under golden/figure1-2100 are the CSVs that four figure1.cfg
+sections write at --replicates 2100 (two chunks): one each of p10-n5,
+p10-n9, p20-n10 and p20-n19, covering the three covariance shapes and both
+sides of the kernel's thin/square choice. A change that claims to keep the
+output bytes must keep these, at any --jobs. To re-pin them after a change
+that moves the bytes on purpose, run the same sections and copy the CSVs.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from mpshrink.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "figure1-2100"
+SECTIONS = ("p10-n5-spiked", "p10-n9-ar", "p20-n10-block", "p20-n19-spiked")
+
+
+def figure1_subset() -> str:
+    """figure1.cfg's [global] block and the SECTIONS, verbatim."""
+    text = (ROOT / "figure1.cfg").read_text(encoding="utf-8")
+    blocks = re.split(r"(?m)^(?=\[)", text)
+    heads = ("[global]",) + tuple(f"[{name}]" for name in SECTIONS)
+    kept = [b for b in blocks if b.startswith(heads)]
+    assert len(kept) == len(heads)
+    return "".join(kept)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_matches_golden_csv_bytes(jobs, tmp_path):
+    config = tmp_path / "figure1-subset.cfg"
+    config.write_text(figure1_subset(), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["run", str(config), "--replicates", "2100", "--jobs", str(jobs), "--out", str(out)])
+    assert rc == 0
+    names = sorted(path.name for path in out.glob("*.csv"))
+    assert names == sorted(f"{name}.csv" for name in SECTIONS)
+    changed = [name for name in names if (out / name).read_bytes() != (GOLDEN / name).read_bytes()]
+    assert not changed, changed

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mpshrink import linalg
+from mpshrink import linalg, randgen, risk
 from mpshrink.estimators import (
     Baranchik,
     DegenerateFError,
@@ -29,6 +29,7 @@ from mpshrink.risk import (
     mc_risk,
     risk_curve,
     run_replicates,
+    run_study,
     scenario_with,
     summarize_losses,
     unbiased_risk_difference,
@@ -302,6 +303,66 @@ def test_sure_tracks_actual_risk_gap():
     diff = study.losses[0] - cfg.p - study.sure
     se = diff.std(ddof=1) / math.sqrt(diff.size)
     assert abs(diff.mean()) < 4.0 * se
+
+
+# -------------------------------------------------------- chunk-major study
+
+
+def _count_draws(monkeypatch):
+    """Wrap randgen.batch_normal_wishart; returns the list of chunk starts."""
+    draw = randgen.batch_normal_wishart
+    starts = []
+
+    def counted(p, n, theta, sqrt_sigma, seed, start, count):
+        starts.append(start)
+        return draw(p, n, theta, sqrt_sigma, seed, start, count)
+
+    monkeypatch.setattr(randgen, "batch_normal_wishart", counted)
+    return starts
+
+
+@pytest.mark.parametrize("n", [3, 5])  # p = 6: the thin side, then the square side
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    a = js_default_constant(6, n)
+    cfg = scenario_with(
+        SMALL,
+        n=n,
+        replicates=50,
+        estimators=[Usual(), JamesStein(a), PositivePartJS(a)],
+        theta_norms=[0.0, 1.0, 4.0],
+    )
+    sure_r = constant_shrinkage(a)
+    starts = _count_draws(monkeypatch)
+    study = run_study(cfg, cfg.estimators, cfg.theta_norms, sure_r=sure_r, jobs=jobs)
+    # Each chunk is drawn once for the whole theta grid.
+    assert sorted(starts) == [0, 16, 32, 48]
+    assert study.losses.shape == (3, 3, 50) and study.sure.shape == (3, 50)
+    for t, tn in enumerate(cfg.theta_norms):
+        one = run_replicates(cfg, cfg.estimators, tn, sure_r=sure_r)
+        assert np.array_equal(study.losses[t], one.losses)
+        assert np.array_equal(study.sure[t], one.sure)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    draw = randgen.batch_normal_wishart
+
+    def zero_factor_at_21(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+        if start <= 21 < start + count:
+            y[21 - start] = 0.0
+        return x, y
+
+    monkeypatch.setattr(randgen, "batch_normal_wishart", zero_factor_at_21)
+    cfg = scenario_with(SMALL, replicates=40, theta_norms=[0.0, 2.0])
+    with pytest.raises(DegenerateFError, match="replicate 21"):
+        run_study(cfg, cfg.estimators, cfg.theta_norms, sure_r=constant_shrinkage(0.5), jobs=jobs)
+    # Without sure_r the degenerate draw passes through unshrunk.
+    study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
+    assert np.array_equal(study.losses[:, 0, 21], study.losses[:, 1, 21])
 
 
 # ---------------------------------------------------------------- risk table
