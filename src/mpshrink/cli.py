@@ -33,6 +33,7 @@ import json
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -330,9 +331,11 @@ def run(
 ) -> int:
     """Execute every scenario; one CSV (and optional SVG) per scenario.
 
-    Returns 0 on success. A failing scenario writes a one-line JSON error
-    record to stderr and the exit code becomes 1; remaining scenarios still
-    run. jobs only changes scheduling, never output bytes.
+    Returns 0 on success, after one stderr line per scenario with its wall
+    time, replicates per second and degenerate draws summed over theta. A
+    failing scenario writes a one-line JSON error record to stderr and the
+    exit code becomes 1; remaining scenarios still run. jobs only changes
+    scheduling, never output bytes.
     """
     target = Path(out_dir if out_dir is not None else manifest.output_dir)
     try:
@@ -344,6 +347,7 @@ def run(
     for cfg in manifest.scenarios:
         if replicates_override is not None:
             cfg = replace(cfg, replicates=replicates_override)
+        t0 = time.perf_counter()
         try:
             rows = risk.risk_curve(cfg, jobs=jobs)
             (target / f"{cfg.name}.csv").write_text(_rows_to_csv(rows), encoding="utf-8")
@@ -357,7 +361,13 @@ def run(
             )
             failed = True
             continue
-        sys.stderr.write(f"{cfg.name}: wrote {cfg.name}.csv ({len(rows)} rows)\n")
+        elapsed = time.perf_counter() - t0
+        # Every estimator's rows carry the same per-theta counts; sum one's.
+        degenerate = sum(r.degenerate for r in rows if r.estimator == rows[0].estimator)
+        sys.stderr.write(
+            f"{cfg.name}: wrote {cfg.name}.csv ({len(rows)} rows) in {elapsed:.2f} s, "
+            f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws\n"
+        )
     return 1 if failed else 0
 
 

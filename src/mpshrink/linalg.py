@@ -260,7 +260,8 @@ class PinvFactor:
     scale: np.ndarray | None = None
 
 
-def _check_finite(a: np.ndarray, what: str) -> None:
+def check_finite(a: np.ndarray, what: str) -> None:
+    """Raise ValueError naming the first stack entry of a with a non-finite value."""
     finite = np.isfinite(a).reshape(len(a), -1).all(axis=1)
     if not finite.all():
         i = int(np.argmin(finite))
@@ -296,7 +297,7 @@ def _batch_spectrum(a: np.ndarray, rel_tol: float):
 
 
 def _square_factor(s: np.ndarray, rel_tol: float | None) -> PinvFactor:
-    _check_finite(s, "S")
+    check_finite(s, "S")
     if rel_tol is None:
         rel_tol = default_rel_tol(s.shape[1])
     return PinvFactor(*_batch_spectrum(s, rel_tol))
@@ -325,7 +326,7 @@ def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
     g = y @ yt
     g = (g + g.transpose(0, 2, 1)) / 2.0
     # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
-    _check_finite(g, "YY'")
+    check_finite(g, "YY'")
     if rel_tol is None:
         rel_tol = default_rel_tol(p)
     # G+^2 b ~ |Y|^-3 over- or underflows for extreme |Y| where S+x ~ |Y|^-2
@@ -333,6 +334,39 @@ def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
     # is exact, so the bits are those of Y'(G+^2 b) whenever that was finite.
     t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
     return PinvFactor(*_batch_spectrum(g, rel_tol), y=y, scale=t)
+
+
+def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
+    """The part of apply_factor that is linear in x: the coordinates c of x
+    in the factor's kept eigenbasis, and P_S x.
+
+    On the thin side, with G = U diag(w) U' and b = Yx, c = (U'b) w+ and
+    P_S x = Y'U c; on the square side c = keep (V'x) and P_S x = V c. Both
+    are linear in x, so the coordinates of x + t u are c(x) + t c(u). A
+    non-finite x is rejected, naming the stack entry.
+    """
+    v, y = factor.vectors, factor.y
+    x = np.asarray(x_stack, dtype=float)
+    shape = (v.shape[0], v.shape[1] if y is None else y.shape[2])
+    if x.shape != shape:
+        raise DimensionMismatchError(
+            f"vector stack shape {x.shape} does not match the factor's {shape}"
+        )
+    check_finite(x, "x")
+    if y is None:
+        c = np.where(factor.keep, np.einsum("rjk,rj->rk", v, x), 0.0)
+        return c, np.einsum("rjk,rk->rj", v, c)
+    b = np.einsum("rnp,rp->rn", y, x)
+    c = np.einsum("rjk,rj->rk", v, b) * factor.inv_w  # U'G+b; zero past the rank
+    return c, np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", v, c))
+
+
+def f_from_coords(factor: PinvFactor, c) -> np.ndarray:
+    """F = x'S+x from factor_coords' c: sum c^2 on the thin side, where c
+    already carries w+, and sum c^2 w+ on the square side."""
+    if factor.y is None:
+        return np.einsum("rk,rk->r", c * factor.inv_w, c)
+    return np.einsum("rk,rk->r", c, c)
 
 
 def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
@@ -346,28 +380,19 @@ def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
     rejected, naming the stack entry.
     """
     v, inv_w, y = factor.vectors, factor.inv_w, factor.y
-    x = np.asarray(x_stack, dtype=float)
-    shape = (v.shape[0], v.shape[1] if y is None else y.shape[2])
-    if x.shape != shape:
-        raise DimensionMismatchError(
-            f"vector stack shape {x.shape} does not match the factor's {shape}"
-        )
-    _check_finite(x, "x")
+    c, psx = factor_coords(factor, x_stack)
     if y is None:
-        ckeep = np.where(factor.keep, np.einsum("rjk,rj->rk", v, x), 0.0)
-        f = np.einsum("rk,rk->r", ckeep * inv_w, ckeep)
-        psx = np.einsum("rjk,rk->rj", v, ckeep)
-        spx = np.einsum("rjk,rk->rj", v, ckeep * inv_w)
+        spx = np.einsum("rjk,rk->rj", v, c * inv_w)
     else:
-        b = np.einsum("rnp,rp->rn", y, x)
-        c = np.einsum("rjk,rj->rk", v, b) * inv_w  # U'G+b; zero past the rank
-        f = np.einsum("rk,rk->r", c, c)
-        psx = np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", v, c))
         t = factor.scale
         d = np.einsum("rjk,rk->rj", v, c * (inv_w * t[:, None]))
         spx = np.einsum("rnp,rn->rp", y, d) / t[:, None]
     return BatchPinvApply(
-        f=f, rank=factor.rank, psx=psx, spx=spx, lam_max_pinv=factor.lam_max_pinv
+        f=f_from_coords(factor, c),
+        rank=factor.rank,
+        psx=psx,
+        spx=spx,
+        lam_max_pinv=factor.lam_max_pinv,
     )
 
 

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg, randgen
 from .estimators import (
     DegenerateFError,
-    Estimator,
     ShrinkageFunction,
     check_unique_labels,
     f_degenerate,
@@ -78,13 +77,16 @@ def batch_geometry(x, y, rel_tol: float | None = None) -> tuple[linalg.BatchPinv
     """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x,
     rel_tol) and the (R,) f_degenerate mask, the rule every engine applies."""
     ba = linalg.batch_pinv_factor(y, x, rel_tol)
-    return ba, _degenerate(ba, x)
+    return ba, _degenerate(x, ba.f, ba.psx, ba.rank, ba.lam_max_pinv)
 
 
-def _degenerate(ba: linalg.BatchPinvApply, x) -> np.ndarray:
-    x_sq = np.einsum("ri,ri->r", x, x)
-    psx_norm = np.linalg.norm(ba.psx, axis=1)
-    return f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+def _rowdot(a, b) -> np.ndarray:
+    return np.einsum("ri,ri->r", a, b)
+
+
+def _degenerate(x, f, psx, rank, lam_max_pinv) -> np.ndarray:
+    psx_norm = np.linalg.norm(psx, axis=1)
+    return f_degenerate(f, _rowdot(x, x), rank, psx_norm, lam_max_pinv)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,11 +151,13 @@ class ScenarioConfig:
 
 @dataclass(eq=False)
 class ReplicateStudy:
-    """Per-replicate losses (one row per estimator) on common draws, and the
-    unbiased risk-difference integrand when one was asked for. From
-    run_study both carry a leading theta axis."""
+    """Per-replicate losses (one row per estimator) on common draws, the
+    number of degenerate draws, which every estimator passed through
+    unshrunk, and the unbiased risk-difference integrand when one was asked
+    for. From run_study all three carry a leading theta axis."""
 
     losses: np.ndarray
+    degenerate: np.ndarray
     sure: np.ndarray | None = None
 
 
@@ -165,17 +169,26 @@ def run_study(
     jobs: int = 1,
 ) -> ReplicateStudy:
     """Per-replicate invariant losses of each spec at each |theta|, all on
-    common draws: losses has shape (theta, spec, replicate) and sure, when
-    sure_r is given, (theta, replicate).
+    common draws: losses has shape (theta, spec, replicate), sure, when
+    sure_r is given, (theta, replicate) and degenerate (theta,).
 
     Replicate i reads stream (cfg.master_seed, i): p variates for X, then
     n*p for Y. Each chunk of replicates is drawn and its S = Y'Y factored
     once; only X = theta + z_x Sigma^{1/2} changes along the theta loop.
-    When sure_r is given, the unbiased risk-difference integrand for that
-    curve is evaluated on the same draws (a degenerate F aborts the run,
-    naming the replicate). jobs > 1 distributes fixed-size chunks over
-    threads; chunk boundaries and the reduction order never change, so
-    results are independent of jobs.
+    With z = z_x Sigma^{1/2} and u = cfg.theta_direction, an estimate is
+    d = X + a P_S X with a = (shrink factor - 1), so
+
+        (d - theta)' Sigma^-1 (d - theta) = q_zz + a (2 q_zp + a q_pp)
+
+    with q_zz = z'Sigma^-1 z, q_zp = z'Sigma^-1 P_S X and
+    q_pp = (P_S X)'Sigma^-1 P_S X. P_S X and the factor coordinates that
+    give F are linear in X, so each chunk applies the factor to z and to u
+    once and the theta loop only combines them. When sure_r is given, the
+    unbiased risk-difference integrand for that curve is evaluated on the
+    same draws (a degenerate F aborts the run, naming the replicate).
+    jobs > 1 distributes fixed-size chunks over threads; chunk boundaries
+    and the reduction order never change, so results are independent of
+    jobs.
     """
     sigma = randgen.build_covariance(cfg.cov, cfg.p)
     sqrt_sigma = linalg.sym_sqrt_pd(sigma)
@@ -185,6 +198,7 @@ def run_study(
     total = cfg.replicates
     losses = np.empty((len(norms), len(specs), total))
     sure = np.empty((len(norms), total)) if sure_r is not None else None
+    degenerate = np.empty((len(norms), total), dtype=bool)
 
     def process(start: int) -> None:
         count = min(CHUNK, total - start)
@@ -194,24 +208,33 @@ def run_study(
             cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, count
         )
         factor = linalg.factor_stack(y, rel_tol)
+        c_noise, psx_noise = linalg.factor_coords(factor, noise)
+        c_dir, psx_dir = linalg.factor_coords(
+            factor, np.broadcast_to(cfg.theta_direction, noise.shape)
+        )
+        nsi = noise @ sigma_inv
+        q_zz = _rowdot(nsi, noise)
         for t, tn in enumerate(norms):
-            theta = tn * cfg.theta_direction
-            x = theta + noise
-            ba = linalg.apply_factor(factor, x)
-            degen = _degenerate(ba, x)
-            f_safe = np.where(degen, 1.0, ba.f)
-            centered = x - theta
+            x = tn * cfg.theta_direction + noise
+            linalg.check_finite(x, "x")
+            f = linalg.f_from_coords(factor, c_noise + tn * c_dir)
+            psx = psx_noise + tn * psx_dir
+            degen = _degenerate(x, f, psx, factor.rank, factor.lam_max_pinv)
+            degenerate[t, start:stop] = degen
+            f_safe = np.where(degen, 1.0, f)
+            two_q_zp = 2.0 * _rowdot(nsi, psx)
+            q_pp = _rowdot(psx @ sigma_inv, psx)
             for k, spec in enumerate(specs):
                 # Degenerate draws keep x: their factor minus one is zero.
-                sf = 1.0 - spec.r.value(ba.f) / f_safe
-                d = centered + np.where(degen, 0.0, sf - 1.0)[:, None] * ba.psx
-                losses[t, k, start:stop] = np.einsum("ri,ij,rj->r", d, sigma_inv, d)
+                sf = 1.0 - spec.r.value(f) / f_safe
+                a = np.where(degen, 0.0, sf - 1.0)
+                losses[t, k, start:stop] = q_zz + a * (two_q_zp + a * q_pp)
             if sure_r is not None:
                 if degen.any():
                     i = start + int(np.argmax(degen))
                     raise DegenerateFError(f"degenerate F at replicate {i}, |theta| = {tn:g}")
                 sure[t, start:stop] = _risk_difference(
-                    sure_r, ba.f, ba.rank.astype(float), cfg.p, cfg.n
+                    sure_r, f, factor.rank.astype(float), cfg.p, cfg.n
                 )
 
     starts = range(0, total, CHUNK)
@@ -224,7 +247,7 @@ def run_study(
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             for res in pool.map(process, starts):
                 pass
-    return ReplicateStudy(losses=losses, sure=sure)
+    return ReplicateStudy(losses=losses, sure=sure, degenerate=degenerate.sum(axis=1))
 
 
 def run_replicates(
@@ -235,10 +258,12 @@ def run_replicates(
     jobs: int = 1,
 ) -> ReplicateStudy:
     """run_study at the one |theta| = theta_norm: losses of shape (spec,
-    replicate) and sure of shape (replicate,)."""
+    replicate), sure of shape (replicate,) and a scalar degenerate count."""
     study = run_study(cfg, specs, [theta_norm], sure_r, jobs)
     return ReplicateStudy(
-        losses=study.losses[0], sure=None if sure_r is None else study.sure[0]
+        losses=study.losses[0],
+        sure=None if sure_r is None else study.sure[0],
+        degenerate=study.degenerate[0],
     )
 
 
@@ -254,21 +279,13 @@ def summarize_losses(arr: np.ndarray, keep_losses: bool = False) -> RiskEstimate
     )
 
 
-def mc_risk(
-    cfg: ScenarioConfig,
-    spec: Estimator,
-    theta_norm: float,
-    keep_losses: bool = False,
-    jobs: int = 1,
-) -> RiskEstimate:
-    """Monte-Carlo risk of one estimator at one value of |theta|."""
-    study = run_replicates(cfg, [spec], theta_norm, jobs=jobs)
-    return summarize_losses(study.losses[0], keep_losses=keep_losses)
-
-
 @dataclass(frozen=True)
 class RiskRow:
-    """One (estimator, theta_norm) cell of a scenario's risk table."""
+    """One (estimator, theta_norm) cell of a scenario's risk table.
+
+    degenerate counts the draws at this theta_norm that every estimator
+    passed through unshrunk; the CSV does not carry it.
+    """
 
     scenario: str
     p: int
@@ -279,6 +296,7 @@ class RiskRow:
     replicates: int
     risk: float
     std_err: float
+    degenerate: int
 
 
 def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
@@ -306,11 +324,8 @@ def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
                     replicates=cfg.replicates,
                     risk=est.mean_loss,
                     std_err=est.std_error,
+                    degenerate=int(study.degenerate[t]),
                 )
             )
     return rows
 
-
-def scenario_with(cfg: ScenarioConfig, **changes) -> ScenarioConfig:
-    """Copy of cfg with fields replaced (re-runs validation)."""
-    return replace(cfg, **changes)

@@ -30,7 +30,7 @@ from mpshrink.estimators import (
 )
 from mpshrink.identities import run_default_suite
 from mpshrink.randgen import Autoregressive, BlockDiagonal, RngStream, Spiked, cov_label
-from mpshrink.risk import ScenarioConfig, mc_risk, run_study
+from mpshrink.risk import ScenarioConfig, run_study, summarize_losses
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -124,7 +124,7 @@ def test_criterion_1_unshrunk_risk_is_p():
             replicates=TRIVIAL_REPLICATES,
             master_seed=MASTER_SEED,
         )
-        est = mc_risk(cfg, Usual(), norm, jobs=JOBS)
+        est = summarize_losses(run_study(cfg, [Usual()], [norm], jobs=JOBS).losses[0, 0])
         z = abs(est.mean_loss - p) / est.std_error
         worst = max(worst, z)
         if z > 3.0:
@@ -259,7 +259,7 @@ def test_criterion_7_positive_part_no_worse(grid_stats):
 
 # Enough replicates to span several scheduling chunks, so different --jobs
 # values genuinely split the work; byte-identity does not depend on the
-# count, and the configured 10^5 would take two 7-minute runs.
+# count, and the configured 10^5 would take two 5-minute runs.
 C8_REPLICATES = 2500
 
 

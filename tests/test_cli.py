@@ -359,12 +359,17 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 # ---------------------------------------------------------------------- main
 
-def test_main_run_subcommand(tmp_path):
+def test_main_run_subcommand(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(SMALL_RUN)
     code = main(["run", str(cfg), "--out", str(tmp_path / "out"), "--replicates", "5"])
     assert code == 0
     assert (tmp_path / "out" / "one.csv").exists()
+    assert re.search(
+        r"^one: wrote one\.csv \(\d+ rows\) in \d+\.\d\d s, \d+ replicates/s, 0 degenerate draws$",
+        capsys.readouterr().err,
+        re.M,
+    )
 
 
 def test_main_missing_config(capsys):

@@ -1,9 +1,10 @@
 """Golden-bytes check of `mpshrink run`.
 
-The files under golden/figure1-2100 are the CSVs that four figure1.cfg
+The files under golden/figure1-2100 are the CSVs that five figure1.cfg
 sections write at --replicates 2100 (two chunks): one each of p10-n5,
-p10-n9, p20-n10 and p20-n19, covering the three covariance shapes and both
-sides of the kernel's thin/square choice. A change that claims to keep the
+p10-n9, p20-n10, p20-n19 and p50-n25, covering the three covariance shapes,
+both sides of the kernel's thin/square choice and the largest p, where the
+theta sweep does the most arithmetic. A change that claims to keep the
 output bytes must keep these, at any --jobs. To re-pin them after a change
 that moves the bytes on purpose, run the same sections and copy the CSVs.
 """
@@ -17,7 +18,7 @@ from mpshrink.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "figure1-2100"
-SECTIONS = ("p10-n5-spiked", "p10-n9-ar", "p20-n10-block", "p20-n19-spiked")
+SECTIONS = ("p10-n5-spiked", "p10-n9-ar", "p20-n10-block", "p20-n19-spiked", "p50-n25-ar")
 
 
 def figure1_subset() -> str:

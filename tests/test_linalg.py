@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from mpshrink.estimators import f_degenerate
 from mpshrink.linalg import (
     MAX_DIM,
     THIN_SIDE_RATIO,
@@ -14,6 +15,8 @@ from mpshrink.linalg import (
     batch_pinv_apply,
     batch_pinv_factor,
     default_rel_tol,
+    f_from_coords,
+    factor_coords,
     factor_stack,
     inv_pd,
     projectors,
@@ -464,6 +467,41 @@ def test_batch_pinv_factor_zero_factor_entry():
     assert ba.lam_max_pinv[0] == 0.0
     assert np.array_equal(ba.psx[0], np.zeros(10))
     assert np.array_equal(ba.spx[0], np.zeros(10))
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    p=st.integers(min_value=5, max_value=24),
+    shape=_SHAPES,
+    t=st.floats(min_value=0.0, max_value=50.0),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factor_coords_combine_linearly(p, shape, t, seed):
+    """F, P_S x and the degeneracy mask from factor_coords(noise) + t *
+    factor_coords(u) match apply_factor at x = noise + t u, on both kernel
+    sides; entry 1 has a zero Y, so its draw is degenerate at every t."""
+    rng = np.random.default_rng(seed)
+    y, noise = draw_factor(rng, p, shape, "none", 0, 0.0, reps=4)
+    y[1] = 0.0
+    tol = agreement_tol(spectrum_checked_stack(y))
+    u = rng.standard_normal(p)
+    u /= np.linalg.norm(u)
+    factor = factor_stack(y)
+    c0, psx0 = factor_coords(factor, noise)
+    c1, psx1 = factor_coords(factor, np.broadcast_to(u, noise.shape))
+    f = f_from_coords(factor, c0 + t * c1)
+    psx = psx0 + t * psx1
+    x = t * u + noise
+    direct = apply_factor(factor, x)
+    assert rel_diff(f, direct.f) <= tol
+    assert rel_diff(psx, direct.psx) <= tol
+
+    def mask(f, psx):
+        x_sq = np.einsum("ri,ri->r", x, x)
+        return f_degenerate(f, x_sq, factor.rank, np.linalg.norm(psx, axis=1), factor.lam_max_pinv)
+
+    assert np.array_equal(mask(f, psx), mask(direct.f, direct.psx))
+    assert mask(f, psx)[1]
 
 
 def test_batch_pinv_factor_shape_errors():

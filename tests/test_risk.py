@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,18 +20,16 @@ from mpshrink.estimators import (
     pinv_geometry,
     positive_part_shrinkage,
 )
-from mpshrink.randgen import Identity, RngStream, Spiked, batch_normal_wishart
+from mpshrink.randgen import Autoregressive, Identity, RngStream, Spiked, batch_normal_wishart
 from mpshrink.risk import (
     RiskRow,
     ScenarioConfig,
     batch_geometry,
     default_theta_norms,
     invariant_loss,
-    mc_risk,
     risk_curve,
     run_replicates,
     run_study,
-    scenario_with,
     summarize_losses,
     unbiased_risk_difference,
 )
@@ -177,13 +176,13 @@ def test_scenario_rejects_duplicate_labels():
     assert [row.estimator for row in risk_curve(cfg)] == ["low", "high"]
 
 
-def test_scenario_with_revalidates():
+def test_replace_revalidates_scenario():
     cfg = ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[Usual()])
-    bumped = scenario_with(cfg, replicates=77, name="bumped")
+    bumped = replace(cfg, replicates=77, name="bumped")
     assert bumped.replicates == 77 and bumped.name == "bumped"
     assert cfg.replicates == 10_000
     with pytest.raises(ValueError):
-        scenario_with(cfg, n=2)
+        replace(cfg, n=2)
 
 
 def test_summarize_losses():
@@ -241,25 +240,24 @@ def test_engine_bitwise_reproducible():
 
 
 def test_jobs_do_not_change_results():
-    cfg = scenario_with(SMALL, replicates=2100)  # spans two chunks
+    cfg = replace(SMALL, replicates=2100)  # spans two chunks
     serial = run_replicates(cfg, cfg.estimators, 1.0, jobs=1)
     threaded = run_replicates(cfg, cfg.estimators, 1.0, jobs=4)
     assert np.array_equal(serial.losses, threaded.losses)
 
 
 def test_usual_losses_do_not_depend_on_theta_norm():
-    # common draws: X - theta is the same noise at every theta_norm, up to
-    # the one rounding taken by (theta + noise) - theta
+    # common draws: the usual loss is the noise's z'Sigma^-1 z at every theta_norm
     a = run_replicates(SMALL, [Usual()], 0.0)
     b = run_replicates(SMALL, [Usual()], 6.0)
-    assert np.allclose(a.losses, b.losses, rtol=1e-12, atol=0.0)
+    assert np.array_equal(a.losses, b.losses)
 
 
 def test_usual_risk_is_dimension():
     cfg = ScenarioConfig(
         p=5, n=4, cov=Identity(), estimators=[Usual()], replicates=2000, master_seed=5
     )
-    est = mc_risk(cfg, Usual(), theta_norm=0.0)
+    est = summarize_losses(run_replicates(cfg, [Usual()], theta_norm=0.0).losses[0])
     assert est.replicates == 2000
     assert abs(est.mean_loss - 5.0) < 5.0 * est.std_error
 
@@ -280,8 +278,9 @@ def test_james_stein_beats_usual_at_origin():
     assert js.mean_loss < usual.mean_loss - 3.0 * gap_se
 
 
-def test_mc_risk_keep_losses():
-    est = mc_risk(SMALL, JamesStein(0.5), theta_norm=0.0, keep_losses=True)
+def test_summarize_losses_keep_losses():
+    study = run_replicates(SMALL, [JamesStein(0.5)], theta_norm=0.0)
+    est = summarize_losses(study.losses[0], keep_losses=True)
     assert est.losses is not None and est.losses.shape == (64,)
     assert est.mean_loss == pytest.approx(est.losses.mean())
 
@@ -326,7 +325,7 @@ def _count_draws(monkeypatch):
 def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
     monkeypatch.setattr(risk, "CHUNK", 16)
     a = js_default_constant(6, n)
-    cfg = scenario_with(
+    cfg = replace(
         SMALL,
         n=n,
         replicates=50,
@@ -345,24 +344,87 @@ def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
         assert np.array_equal(study.sure[t], one.sure)
 
 
+def _zero_y_of(draw, i):
+    """batch_normal_wishart with every row of replicate i's Y zeroed, which
+    makes its S zero and its draw degenerate."""
+
+    def zeroed(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+        if start <= i < start + count:
+            y[i - start] = 0.0
+        return x, y
+
+    return zeroed
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     monkeypatch.setattr(risk, "CHUNK", 16)
-    draw = randgen.batch_normal_wishart
-
-    def zero_factor_at_21(p, n, theta, sqrt_sigma, seed, start, count):
-        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
-        if start <= 21 < start + count:
-            y[21 - start] = 0.0
-        return x, y
-
-    monkeypatch.setattr(randgen, "batch_normal_wishart", zero_factor_at_21)
-    cfg = scenario_with(SMALL, replicates=40, theta_norms=[0.0, 2.0])
+    monkeypatch.setattr(randgen, "batch_normal_wishart", _zero_y_of(randgen.batch_normal_wishart, 21))
+    cfg = replace(SMALL, replicates=40, theta_norms=[0.0, 2.0])
     with pytest.raises(DegenerateFError, match="replicate 21"):
         run_study(cfg, cfg.estimators, cfg.theta_norms, sure_r=constant_shrinkage(0.5), jobs=jobs)
-    # Without sure_r the degenerate draw passes through unshrunk.
+    # Without sure_r the degenerate draw passes through unshrunk and is counted.
     study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
     assert np.array_equal(study.losses[:, 0, 21], study.losses[:, 1, 21])
+    assert np.array_equal(study.degenerate, [1, 1])
+    rows = risk_curve(cfg, jobs=jobs)
+    assert [r.degenerate for r in rows] == [1, 1] * len(cfg.estimators)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    half_p=st.integers(min_value=2, max_value=6),
+    side=st.sampled_from(["thin", "square"]),
+    n_pick=st.integers(min_value=0, max_value=1000),
+    cov=st.sampled_from([Identity(), Spiked(), Autoregressive(0.5)]),
+    theta_mult=st.floats(min_value=0.0, max_value=6.0),
+    shrink=st.floats(min_value=0.0, max_value=4.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta_mult, shrink, seed):
+    """Per replicate, run_study's quadratic-in-a loss equals invariant_loss of
+    the scalar estimate() on the same draw, on both kernel sides and with a
+    degenerate draw (replicate 1, zero Y). JS constants up to 4x the default
+    reach large shrinkage, where z ~ -a P_S x cancels, so the bound is scaled
+    by q_zz + 2|a q_zp| + a^2 q_pp rather than by the loss, and by the kept
+    spectrum's condition number, which the two kernels' F and P_S x carry."""
+    p = 2 * half_p
+    thin_max = int(np.floor(linalg.THIN_SIDE_RATIO * p))
+    n = 3 + n_pick % (thin_max - 2) if side == "thin" else thin_max + 1 + n_pick % (p + 2 - thin_max)
+    c = shrink * js_default_constant(p, n)
+    specs = [Usual(), JamesStein(c), PositivePartJS(c)]
+    cfg = ScenarioConfig(
+        p=p, n=n, cov=cov, estimators=specs, theta_norms=[0.0, theta_mult * math.sqrt(p)],
+        replicates=6, master_seed=seed,
+    )
+    draw = _zero_y_of(randgen.batch_normal_wishart, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randgen, "batch_normal_wishart", draw)
+        study = run_study(cfg, specs, cfg.theta_norms)
+    sigma = randgen.build_covariance(cov, p)
+    sigma_inv = linalg.inv_pd(sigma)
+    noise, y = draw(p, n, np.zeros(p), linalg.sym_sqrt_pd(sigma), seed, 0, cfg.replicates)
+    assert np.array_equal(study.degenerate, [1, 1])
+    eps = np.finfo(float).eps
+    for t, tn in enumerate(cfg.theta_norms):
+        theta = tn * cfg.theta_direction
+        x = theta + noise
+        for i in range(cfg.replicates):
+            s = y[i].T @ y[i]
+            w = np.linalg.eigvalsh((s + s.T) / 2.0)
+            kept = w[w > linalg.default_rel_tol(p) * w[-1]]
+            kappa = kept[-1] / kept[0] if kept.size else 1.0
+            psx = pinv_geometry(x[i], s).psx
+            z = noise[i]
+            q_zz, q_zp, q_pp = z @ sigma_inv @ z, z @ sigma_inv @ psx, psx @ sigma_inv @ psx
+            for k, spec in enumerate(specs):
+                out = estimate(spec, x[i], s)
+                assert out.shrink_factor == 1.0 or i != 1
+                want = invariant_loss(out.delta, theta, sigma_inv)
+                a = out.shrink_factor - 1.0
+                scale = q_zz + 2.0 * abs(a * q_zp) + a * a * q_pp
+                assert abs(study.losses[t, k, i] - want) <= 128.0 * eps * kappa * scale
 
 
 # ---------------------------------------------------------------- risk table
