@@ -381,14 +381,25 @@ def verify(
     mc_replicates: int = 100_000,
     fd_configs: int = 100,
 ) -> int:
-    """Run the identity oracle suite and print one row per identity."""
+    """Run the identity oracle suite and print one row per identity.
+
+    Each identity's elapsed seconds, and the total, go to stderr as it runs.
+    """
+    reports = []
+    t_start = time.perf_counter()
     try:
-        reports = identities.run_default_suite(
-            seed=seed, only=only, fd_configs=fd_configs, mc_replicates=mc_replicates
-        )
+        for name in [only] if only else identities.SUITE_NAMES:
+            t0 = time.perf_counter()
+            reports += identities.run_default_suite(
+                seed=seed, only=name, fd_configs=fd_configs, mc_replicates=mc_replicates
+            )
+            sys.stderr.write(f"verify: {name} in {time.perf_counter() - t0:.2f} s\n")
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    sys.stderr.write(
+        f"verify: {len(reports)} identities in {time.perf_counter() - t_start:.2f} s\n"
+    )
     name_w = max(len(r.name) for r in reports)
     print(f"{'identity':<{name_w}}  {'analytic':>13} {'oracle':>13} "
           f"{'abs_err':>10} {'rel_err':>10} {'tol':>9}  result")

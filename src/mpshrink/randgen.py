@@ -204,12 +204,142 @@ def sample_wishart(n: int, sigma, rng) -> WishartDraw:
     return WishartDraw(y=y, s=(gram + gram.T) / 2.0, n=int(n), p=s.shape[0])
 
 
+# numpy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx
+# and pcg64.h), reproduced so that a chunk's streams open in bulk. NEP 19
+# keeps SeedSequence stable across numpy releases; batch_standard_normal
+# still checks one stream per call against RngStream.generator().
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_XSHIFT = 16
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _int_words(value: int) -> list[int]:
+    """SeedSequence's 32-bit words of a nonnegative int, least significant first."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hash_consts(init: int, mult: int):
+    """The (xor, multiplier) pair of each successive hash step."""
+    h = init
+    while True:
+        nxt = (h * mult) & _MASK32
+        yield h, nxt
+        h = nxt
+
+
+def _hashmix(value, consts):
+    """One hash step on a Python int or a uint32 array (which wraps by itself)."""
+    xor, mult = next(consts)
+    value = ((value ^ xor) * mult) & _MASK32
+    return value ^ (value >> _XSHIFT)
+
+
+def _mix(x, y):
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    r = ((_MIX_MULT_L * x) & _MASK32) - ((_MIX_MULT_R * y) & _MASK32)
+    r &= _MASK32
+    return r ^ (r >> _XSHIFT)
+
+
+def _seed_words(run: list[int], spawn: list[np.ndarray]) -> np.ndarray:
+    """(rows, 4) uint64: SeedSequence.generate_state(4, np.uint64) for the
+    entropy run + spawn, where run holds the master seed's words padded to
+    the pool size and spawn[w] holds every row's spawn word w."""
+    consts = _hash_consts(_INIT_A, _MULT_A)
+    pool = [_hashmix(word, consts) for word in run[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
+    for word in run[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    # Up to here the pool depends on the master seed only; the spawn words
+    # are the first per-row entropy.
+    rows = spawn[0].size
+    pool = [np.full(rows, word, dtype=np.uint32) for word in pool]
+    for word in spawn:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
+    consts = _hash_consts(_INIT_B, _MULT_B)
+    out = np.empty((rows, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        out[:, i] = _hashmix(pool[i % _POOL_SIZE], consts)
+    return out.view("<u8")
+
+
+def _pcg64_states(master_seed: int, start: int, count: int) -> list[tuple[int, int]]:
+    """(state, inc) of PCG64(SeedSequence(master_seed, spawn_key=(i,))) for
+    the streams i = start .. start+count-1."""
+    run = _int_words(master_seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    states = []
+    first, end = start, start + count
+    while first < end:
+        # Ids with the same number of 32-bit words hash as one group.
+        n_words = len(_int_words(first))
+        last = min(end, 1 << (32 * n_words))
+        ids = range(first, last)
+        spawn = [
+            np.array([(i >> (32 * w)) & _MASK32 for i in ids], dtype=np.uint32)
+            for w in range(n_words)
+        ]
+        for s0, s1, s2, s3 in _seed_words(run, spawn).tolist():
+            # pcg64_set_seed: inc = 2·initseq + 1, then two LCG steps from 0
+            # with initstate added in between.
+            inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
+            state = ((((s0 << 64) | s1) + inc) * _PCG_MULT + inc) & _MASK128
+            states.append((state, inc))
+        first = last
+    return states
+
+
 def batch_standard_normal(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) array whose row j is the first width standard normals
-    of stream (master_seed, start + j)."""
+    of stream (master_seed, start + j).
+
+    The streams' PCG64 states are hashed for the whole block at once and
+    every row is drawn from one generator that this call owns. Row 0 is
+    checked against RngStream.generator(), the reference; a mismatch raises
+    RuntimeError rather than letting the variates drift.
+    """
+    stream = RngStream(master_seed, start)
     z = np.empty((count, width))
-    for j in range(count):
-        z[j] = RngStream(master_seed, start + j).generator().standard_normal(width)
+    if count == 0:
+        return z
+    states = _pcg64_states(int(master_seed), int(start), count)
+    gen = stream.generator()
+    opened = gen.bit_generator.state
+    expected = gen.standard_normal(width)
+    bitgen = gen.bit_generator
+    for j, (state, inc) in enumerate(states):
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        gen.standard_normal(out=z[j])
+    if opened["state"] != {"state": states[0][0], "inc": states[0][1]} or not np.array_equal(
+        z[0], expected
+    ):
+        raise RuntimeError(
+            f"bulk stream opening disagrees with numpy {np.__version__}'s SeedSequence "
+            f"for stream (master_seed={master_seed}, stream_id={start})"
+        )
     return z
 
 

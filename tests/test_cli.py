@@ -340,6 +340,27 @@ def test_verify_fast_identity(tmp_path, capsys):
     assert csv_lines[1].endswith(",true")
 
 
+def test_verify_reports_elapsed_seconds_on_stderr(capsys):
+    from mpshrink.identities import SUITE_NAMES
+
+    assert verify(fd_configs=1, mc_replicates=1000) == 0
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(SUITE_NAMES) + 1
+    for name, line in zip(SUITE_NAMES, lines):
+        assert re.fullmatch(rf"verify: {name} in \d+\.\d\d s", line), line
+    assert re.fullmatch(rf"verify: {len(SUITE_NAMES)} identities in \d+\.\d\d s", lines[-1])
+    assert "verify:" not in captured.out
+
+
+def test_verify_single_identity_timing_line(capsys):
+    assert verify(only="sure_assembly", fd_configs=1) == 0
+    assert re.fullmatch(
+        r"verify: sure_assembly in \d+\.\d\d s\nverify: 1 identities in \d+\.\d\d s\n",
+        capsys.readouterr().err,
+    )
+
+
 def test_verify_unknown_name(capsys):
     assert verify(only="nope") == 2
     assert "unknown identity" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Golden-bytes check of `mpshrink run`.
+"""Golden-bytes checks of `mpshrink run` and `mpshrink verify`.
 
 The files under golden/figure1-2100 are the CSVs that five figure1.cfg
 sections write at --replicates 2100 (two chunks): one each of p10-n5,
@@ -7,6 +7,12 @@ both sides of the kernel's thin/square choice and the largest p, where the
 theta sweep does the most arithmetic. A change that claims to keep the
 output bytes must keep these, at any --jobs. To re-pin them after a change
 that moves the bytes on purpose, run the same sections and copy the CSVs.
+
+golden/verify-1000/identities.csv is what `mpshrink verify --replicates 1000
+--configs 1` writes: the finite-difference identities at one configuration
+per shape, stein and stein_haff at 1000 replicates and the finiteness
+probe's fixed 2 x 10 000 draws, so every Monte-Carlo stream the suite opens
+is pinned.
 """
 
 import pathlib
@@ -17,7 +23,8 @@ import pytest
 from mpshrink.cli import main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "figure1-2100"
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "figure1-2100"
 SECTIONS = ("p10-n5-spiked", "p10-n9-ar", "p20-n10-block", "p20-n19-spiked", "p50-n25-ar")
 
 
@@ -42,3 +49,11 @@ def test_run_matches_golden_csv_bytes(jobs, tmp_path):
     assert names == sorted(f"{name}.csv" for name in SECTIONS)
     changed = [name for name in names if (out / name).read_bytes() != (GOLDEN / name).read_bytes()]
     assert not changed, changed
+
+
+def test_verify_matches_golden_identities_bytes(tmp_path):
+    out = tmp_path / "out"
+    rc = main(["verify", "--replicates", "1000", "--configs", "1", "--out", str(out)])
+    assert rc == 0
+    expected = (GOLDEN_DIR / "verify-1000" / "identities.csv").read_bytes()
+    assert (out / "identities.csv").read_bytes() == expected

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpshrink import linalg
+from mpshrink import linalg, randgen
 from mpshrink.randgen import (
     Autoregressive,
     BlockDiagonal,
@@ -255,3 +255,41 @@ def test_batch_standard_normal_rows_are_streams(seed, start, count, width):
     assert z.shape == (count, width)
     for j in range(count):
         assert np.array_equal(z[j], RngStream(seed, start + j).generator().standard_normal(width))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(min_value=0, max_value=2**130 - 1),
+    base=st.sampled_from([0, 2**32, 2**64]),
+    offset=st.integers(min_value=-6, max_value=6),
+    count=st.integers(min_value=0, max_value=5),
+    width=st.integers(min_value=0, max_value=40),
+)
+def test_bulk_stream_opening_matches_seed_sequence(seed, base, offset, count, width):
+    # Master seeds of 1 to 5 words; blocks that cross 2**32 and 2**64, where
+    # the spawn key gains a word.
+    start = max(0, base + offset)
+    z = batch_standard_normal(seed, start, count, width)
+    states = randgen._pcg64_states(seed, start, count)
+    assert z.shape == (count, width) and len(states) == count
+    for j in range(count):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(start + j,))
+        reference = np.random.PCG64(seq).state["state"]
+        assert reference == {"state": states[j][0], "inc": states[j][1]}
+        assert np.array_equal(z[j], RngStream(seed, start + j).generator().standard_normal(width))
+
+
+def test_bulk_stream_opening_guard_names_the_stream(monkeypatch):
+    monkeypatch.setattr(randgen, "_MULT_B", randgen._MULT_B ^ 2)
+    with pytest.raises(RuntimeError, match=r"numpy .*stream_id=77\b"):
+        batch_standard_normal(5, 77, 3, 4)
+    # Width 0 draws nothing; the guard still compares the opened state.
+    with pytest.raises(RuntimeError, match="stream_id=77"):
+        batch_standard_normal(5, 77, 1, 0)
+
+
+@pytest.mark.parametrize("master_seed,start", [(-1, 0), (0, -1)])
+def test_batch_standard_normal_rejects_negative_addresses(master_seed, start):
+    for count in (0, 2):
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            batch_standard_normal(master_seed, start, count, 3)
