@@ -87,9 +87,14 @@ def _checked_index(y: np.ndarray, alpha: int, beta: int) -> None:
         raise IndexError(f"(alpha, beta) = ({alpha}, {beta}) outside a {n} x {p} factor")
 
 
+def _gram(y: np.ndarray) -> np.ndarray:
+    """S = Y'Y symmetrised, for one factor or a stack of them."""
+    s = np.swapaxes(y, -1, -2) @ y
+    return (s + np.swapaxes(s, -1, -2)) / 2.0
+
+
 def _gram_eigen(y: np.ndarray) -> linalg.SpectralDecomposition:
-    s = y.T @ y
-    return linalg.sym_eigen((s + s.T) / 2.0)
+    return linalg.sym_eigen(_gram(y))
 
 
 def _pinv_locked(y: np.ndarray, rank: int) -> linalg.PseudoinverseResult:
@@ -165,6 +170,13 @@ def dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
     geo, _ = _locked_geometry(yv)
+    return _dm_dy_at(xv, yv, geo, alpha, beta)
+
+
+def _dm_dy_at(
+    xv: np.ndarray, yv: np.ndarray, geo: linalg.PseudoinverseResult, alpha: int, beta: int
+) -> np.ndarray:
+    """dm_dy's nine terms at a geometry already factored from yv."""
     pv = geo.pinv
     c = geo.complement
     u = pv @ xv  # S+ x
@@ -217,7 +229,7 @@ def fd_ds_dy(y, alpha: int, beta: int) -> np.ndarray:
     """Central difference of S = Y'Y in the (alpha, beta) entry of Y."""
     yv = np.asarray(y, dtype=float)
     _checked_index(yv, alpha, beta)
-    return _central_diff_y(lambda m: (m.T @ m + (m.T @ m).T) / 2.0, yv, alpha, beta)
+    return _central_diff_y(_gram, yv, alpha, beta)
 
 
 def fd_df_dy(x, y, alpha: int, beta: int) -> float:
@@ -236,6 +248,80 @@ def fd_dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
     return _central_diff_y(lambda m: _m_locked(xv, m, k), yv, alpha, beta)
 
 
+# The suite's sweeps evaluate every perturbation of Y in one stacked call.
+# Each stacked step repeats the per-slice arithmetic of the per-entry oracles
+# above, which the tests hold them to bit for bit.
+
+
+def _central_diff_stack(fn: Callable[[np.ndarray], object], y: np.ndarray) -> np.ndarray:
+    """_central_diff_y at every entry of Y from a single call of fn.
+
+    fn maps a (2np, n, p) stack, Y + h_ab e_ab for each entry in row-major
+    order followed by Y - h_ab e_ab, to one value per slice. Returns the
+    (n, p, ...) array of central differences.
+    """
+    n, p = y.shape
+    cells = n * p
+    h = np.array([_fd_step(c) for c in y.flat])
+    stack = np.repeat(y[None], 2 * cells, axis=0)
+    diag = np.arange(cells)
+    flat = stack.reshape(2, cells, cells)
+    flat[0, diag, diag] += h
+    flat[1, diag, diag] -= h
+    values = np.asarray(fn(stack), dtype=float)
+    step = (2.0 * h).reshape((cells,) + (1,) * (values.ndim - 1))
+    return ((values[:cells] - values[cells:]) / step).reshape((n, p) + values.shape[1:])
+
+
+def _locked_x_stack(x: np.ndarray, ys: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+    """(S+ x, SS+ x) for each factor of a (count, n, p) stack, with S+ and
+    SS+ formed exactly as _pinv_locked forms them (descending spectrum,
+    leading `rank` eigenvalues inverted, both matrices symmetrised).
+
+    sym_eigen's own symmetrisation is left out: _gram's output is already
+    exactly symmetric, so it would return the same bits.
+    """
+    w, v = np.linalg.eigh(_gram(ys))
+    w = w[:, ::-1]
+    # A contiguous copy, like sym_eigen's, keeps matmul on the same BLAS path.
+    v = np.ascontiguousarray(v[:, :, ::-1])
+    count, p = w.shape
+    inv_w = np.zeros_like(w)
+    inv_w[:, :rank] = 1.0 / w[:, :rank]
+    pinv = (v * inv_w[:, None, :]) @ np.swapaxes(v, -1, -2)
+    pinv = (pinv + np.swapaxes(pinv, -1, -2)) / 2.0
+    if rank == p:
+        projector = np.broadcast_to(np.eye(p), (count, p, p))
+    else:
+        vk = v[:, :, :rank]
+        projector = vk @ np.swapaxes(vk, -1, -2)
+        projector = (projector + np.swapaxes(projector, -1, -2)) / 2.0
+    return pinv @ x, projector @ x
+
+
+def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fd_df_dy at every (alpha, beta), as an (n, p) array."""
+    k = min(y.shape)
+
+    def f(ys: np.ndarray) -> list[float]:
+        u, _ = _locked_x_stack(x, ys, k)
+        # Row by row: a stacked u @ x does not give the dot's bits.
+        return [float(x @ ui) for ui in u]
+
+    return _central_diff_stack(f, y)
+
+
+def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """fd_dm_dy at every (alpha, beta), as an (n, p, p, p) array."""
+    k = min(y.shape)
+
+    def m(ys: np.ndarray) -> np.ndarray:
+        u, q = _locked_x_stack(x, ys, k)
+        return u[:, :, None] * q[:, None, :]
+
+    return _central_diff_stack(m, y)
+
+
 # ---------------------------------------------------------------------------
 # the two scalar building-block identities
 
@@ -248,7 +334,7 @@ def trace_grad_identity(
         analytic = -4 r(F) r'(F) + r(F)^2 (p - 2m + 3) / F,  m = min(n, p)
 
     The oracle assembles the trace from central differences over every
-    entry of Y.
+    entry of Y, all perturbations evaluated in one stacked call.
     """
     xv, yv = _checked_xy(x, y)
     n, p = yv.shape
@@ -259,18 +345,20 @@ def trace_grad_identity(
     rdf = r.deriv(f)
     analytic = -4.0 * rf * rdf + rf * rf * (p - 2.0 * k + 3.0) / f
 
-    def field(m: np.ndarray) -> np.ndarray:
-        g = _pinv_locked(m, k)
-        ux = g.pinv @ xv
-        fx = float(xv @ ux)
-        rfx = r(fx)
-        return (rfx * rfx / (fx * fx)) * np.outer(g.projector @ xv, ux)
+    def field(ys: np.ndarray) -> np.ndarray:
+        ux, qx = _locked_x_stack(xv, ys, k)
+        scale = []
+        for ui in ux:
+            fx = float(xv @ ui)
+            rfx = r(fx)
+            scale.append(rfx * rfx / (fx * fx))
+        return np.array(scale)[:, None, None] * (qx[:, :, None] * ux[:, None, :])
 
+    d = _central_diff_stack(field, yv)
     oracle = 0.0
     for alpha in range(n):
         for beta in range(p):
-            d = _central_diff_y(field, yv, alpha, beta)
-            oracle += float(yv[alpha] @ d[beta])
+            oracle += float(yv[alpha] @ d[alpha, beta, beta])
     return _report("trace_grad", analytic, oracle, tolerance)
 
 
@@ -638,20 +726,19 @@ def _fd_sweep(
 
 
 def _ds_dy_checks(x, y, r) -> list[IdentityReport]:
-    return [
-        _report("ds_dy", ds_dy(y, a, b), fd_ds_dy(y, a, b), 1e-5) for a, b in np.ndindex(y.shape)
-    ]
+    fd = _central_diff_stack(_gram, y)
+    return [_report("ds_dy", ds_dy(y, a, b), fd[a, b], 1e-5) for a, b in np.ndindex(y.shape)]
 
 
 def _df_dy_checks(x, y, r) -> list[IdentityReport]:
-    n, p = y.shape
-    fd = np.array([[fd_df_dy(x, y, a, b) for b in range(p)] for a in range(n)])
-    return [_report("df_dy", df_dy_matrix(x, y), fd, 1e-5)]
+    return [_report("df_dy", df_dy_matrix(x, y), _stacked_fd_df_dy(x, y), 1e-5)]
 
 
 def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
+    geo, _ = _locked_geometry(y)
+    fd = _stacked_fd_dm_dy(x, y)
     return [
-        _report("dm_dy", dm_dy(x, y, a, b), fd_dm_dy(x, y, a, b), 1e-5)
+        _report("dm_dy", _dm_dy_at(x, y, geo, a, b), fd[a, b], 1e-5)
         for a, b in np.ndindex(y.shape)
     ]
 

@@ -12,7 +12,9 @@ golden/verify-1000/identities.csv is what `mpshrink verify --replicates 1000
 --configs 1` writes: the finite-difference identities at one configuration
 per shape, stein and stein_haff at 1000 replicates and the finiteness
 probe's fixed 2 x 10 000 draws, so every Monte-Carlo stream the suite opens
-is pinned.
+is pinned. golden/verify-5x1000/identities.csv is the same at --configs 5,
+the benchmark's verify setting, where each finite-difference row is the
+worst of five configurations per shape.
 """
 
 import pathlib
@@ -51,9 +53,18 @@ def test_run_matches_golden_csv_bytes(jobs, tmp_path):
     assert not changed, changed
 
 
-def test_verify_matches_golden_identities_bytes(tmp_path):
+def verify_csv_bytes(tmp_path, configs: int) -> bytes:
     out = tmp_path / "out"
-    rc = main(["verify", "--replicates", "1000", "--configs", "1", "--out", str(out)])
+    rc = main(["verify", "--replicates", "1000", "--configs", str(configs), "--out", str(out)])
     assert rc == 0
+    return (out / "identities.csv").read_bytes()
+
+
+def test_verify_matches_golden_identities_bytes(tmp_path):
     expected = (GOLDEN_DIR / "verify-1000" / "identities.csv").read_bytes()
-    assert (out / "identities.csv").read_bytes() == expected
+    assert verify_csv_bytes(tmp_path, 1) == expected
+
+
+def test_verify_five_configs_matches_golden_identities_bytes(tmp_path):
+    expected = (GOLDEN_DIR / "verify-5x1000" / "identities.csv").read_bytes()
+    assert verify_csv_bytes(tmp_path, 5) == expected

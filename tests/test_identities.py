@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpshrink import linalg
 from mpshrink.estimators import Baranchik, constant_shrinkage, positive_part_shrinkage
@@ -10,6 +12,16 @@ from mpshrink.identities import (
     IdentityReport,
     RankDegenerateError,
     SummaryStats,
+    _central_diff_stack,
+    _central_diff_y,
+    _df_dy_checks,
+    _dm_dy_checks,
+    _ds_dy_checks,
+    _gram,
+    _pinv_locked,
+    _report,
+    _stacked_fd_df_dy,
+    _stacked_fd_dm_dy,
     _worst,
     df_dy,
     df_dy_matrix,
@@ -176,6 +188,56 @@ def test_dm_dy_index_errors():
         dm_dy(x, y, 3, 0)
     with pytest.raises(linalg.DimensionMismatchError):
         dm_dy(np.ones(4), y, 0, 0)
+
+
+# ------------------------------------------------------ stacked FD sweeps
+
+@pytest.mark.parametrize("p,n", FD_GRID)
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_stacked_fd_sweeps_match_per_entry_oracles(p, n, seed):
+    x, y = suite_config(p, n, seed)
+    ds = _central_diff_stack(_gram, y)
+    df = _stacked_fd_df_dy(x, y)
+    dm = _stacked_fd_dm_dy(x, y)
+    assert ds.shape == dm.shape == (n, p, p, p)
+    assert df.shape == (n, p)
+    for a, b in np.ndindex(n, p):
+        assert np.array_equal(ds[a, b], fd_ds_dy(y, a, b))
+        assert np.array_equal(df[a, b], fd_df_dy(x, y, a, b))
+        assert np.array_equal(dm[a, b], fd_dm_dy(x, y, a, b))
+    # The suite's checks report exactly what the per-entry forms give.
+    entries = list(np.ndindex(n, p))
+    assert _ds_dy_checks(x, y, None) == [
+        _report("ds_dy", ds_dy(y, a, b), fd_ds_dy(y, a, b), 1e-5) for a, b in entries
+    ]
+    fd = np.array([[fd_df_dy(x, y, a, b) for b in range(p)] for a in range(n)])
+    assert _df_dy_checks(x, y, None) == [_report("df_dy", df_dy_matrix(x, y), fd, 1e-5)]
+    assert _dm_dy_checks(x, y, None) == [
+        _report("dm_dy", dm_dy(x, y, a, b), fd_dm_dy(x, y, a, b), 1e-5) for a, b in entries
+    ]
+
+
+@pytest.mark.parametrize("p,n", FD_GRID)
+@settings(deadline=None, max_examples=10)
+@given(seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+def test_trace_grad_stacked_oracle_matches_per_entry_sum(p, n, seed, constant):
+    x, y = suite_config(p, n, seed)
+    r = constant_shrinkage(0.3) if constant else smooth_r()
+    k = min(n, p)
+
+    def field(m):
+        g = _pinv_locked(m, k)
+        ux = g.pinv @ x
+        fx = float(x @ ux)
+        rfx = r(fx)
+        return (rfx * rfx / (fx * fx)) * np.outer(g.projector @ x, ux)
+
+    oracle = 0.0
+    for a in range(n):
+        for b in range(p):
+            oracle += float(y[a] @ _central_diff_y(field, y, a, b)[b])
+    assert trace_grad_identity(x, y, r).oracle == oracle
 
 
 # ----------------------------------------------------------- scalar identities
