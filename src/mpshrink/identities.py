@@ -323,7 +323,18 @@ def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the two scalar building-block identities
+# the two scalar building-block identities; their closed forms, elementwise
+# in rf = r(F), rdf = r'(F), F and m, serve the Monte-Carlo engines too
+
+
+def _trace_grad_form(rf, rdf, f, m, p: int):
+    """tr(Y' grad_Y [r^2 SS+ x x' S+ / F^2]) = -4 r r' + r^2 (p - 2m + 3)/F."""
+    return -4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f
+
+
+def _div_form(rf, rdf, f, m):
+    """div_x [r(F) SS+ x / F] = 2 r' + r (m - 2)/F."""
+    return 2.0 * rdf + rf * (m - 2.0) / f
 
 
 def trace_grad_identity(
@@ -341,9 +352,7 @@ def trace_grad_identity(
     geo, k = _locked_geometry(yv)
     u = geo.pinv @ xv
     f = float(xv @ u)
-    rf = r(f)
-    rdf = r.deriv(f)
-    analytic = -4.0 * rf * rdf + rf * rf * (p - 2.0 * k + 3.0) / f
+    analytic = _trace_grad_form(r(f), r.deriv(f), f, k, p)
 
     def field(ys: np.ndarray) -> np.ndarray:
         ux, qx = _locked_x_stack(xv, ys, k)
@@ -372,8 +381,7 @@ def div_x_identity(x, s, r: ShrinkageFunction, tolerance: float = 1e-5) -> Ident
     if geo.degenerate:
         raise RankDegenerateError(f"F = {geo.f:.6e} is degenerate; divergence undefined")
     xv, pr, f = geo.x, geo.pr, geo.f
-    rf = r(f)
-    analytic = 2.0 * r.deriv(f) + rf * (pr.rank - 2.0) / f
+    analytic = _div_form(r(f), r.deriv(f), f, pr.rank)
 
     def field(v: np.ndarray) -> np.ndarray:
         fv = float(v @ (pr.pinv @ v))
@@ -418,6 +426,17 @@ def _mc_report(name: str, lhs: np.ndarray, rhs: np.ndarray) -> IdentityReport:
     )
 
 
+def _mc_setup(replicates: int, floor: int, n: int, sigma, theta):
+    """The Monte-Carlo engines' shared checks (at least `floor` replicates,
+    n >= 1, theta against sigma); returns theta, Sigma^{1/2}, Sigma^{-1}."""
+    if replicates < floor:
+        raise ValueError(f"replicates must be at least {floor}, got {replicates}")
+    if n < 1:
+        raise ValueError(f"degrees of freedom must be positive, got n={n}")
+    t, sig = randgen._checked_theta_sigma(theta, sigma)
+    return t, linalg.sym_sqrt_pd(sig), linalg.inv_pd(sig)
+
+
 def stein_identity_mc(
     theta,
     sigma,
@@ -433,36 +452,24 @@ def stein_identity_mc(
     divergence side uses the closed form; both sides are averaged and
     compared at 3 combined standard errors.
     """
-    if replicates < 1000:
-        raise ValueError(f"at least 1000 replicates required, got {replicates}")
-    if n < 1:
-        raise ValueError(f"degrees of freedom must be positive, got n={n}")
-    t = np.asarray(theta, dtype=float)
-    sig = linalg.symmetrize(sigma)
-    if t.shape != (sig.shape[0],):
-        raise linalg.DimensionMismatchError(
-            f"theta shape {t.shape} does not match covariance {sig.shape}"
-        )
-    p = t.size
-    sqrt_sigma = linalg.sym_sqrt_pd(sig)
-    sigma_inv = linalg.inv_pd(sig)
+    t, sqrt_sigma, sigma_inv = _mc_setup(replicates, 1000, n, sigma, theta)
     r = spec.r
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
-    for start in range(0, replicates, risk.CHUNK):
-        count = min(risk.CHUNK, replicates - start)
-        x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, count)
+
+    def body(start: int, stop: int) -> None:
+        x, y = randgen.batch_normal_wishart(t.size, n, t, sqrt_sigma, seed, start, stop - start)
         ba, degen = risk.batch_geometry(x, y)
         if degen.any():
             i = start + int(np.argmax(degen))
             raise RankDegenerateError(f"degenerate F at replicate {i}")
         rf = r.value(ba.f)
-        rdf = r.deriv(ba.f)
-        m = ba.rank.astype(float)
         g = -(rf / ba.f)[:, None] * ba.psx
         resid = np.einsum("ij,rj->ri", sigma_inv, x - t)
-        lhs[start : start + count] = 2.0 * np.einsum("ri,ri->r", g, resid)
-        rhs[start : start + count] = -2.0 * (2.0 * rdf + rf * (m - 2.0) / ba.f)
+        lhs[start:stop] = 2.0 * np.einsum("ri,ri->r", g, resid)
+        rhs[start:stop] = -2.0 * _div_form(rf, r.deriv(ba.f), ba.f, ba.rank.astype(float))
+
+    risk.map_chunks(replicates, body)
     return _mc_report("stein", lhs, rhs)
 
 
@@ -499,7 +506,7 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
         rf = r.value(ba.f)
         rdf = r.deriv(ba.f)
         g = (rf * rf / (ba.f * ba.f))[:, None, None] * ba.spx[:, :, None] * ba.psx[:, None, :]
-        trace_grad = -4.0 * rf * rdf + rf * rf * (xv.size - 2.0 * ba.rank + 3.0) / ba.f
+        trace_grad = _trace_grad_form(rf, rdf, ba.f, ba.rank, xv.size)
         return g, trace_grad
 
     return build
@@ -518,18 +525,13 @@ def stein_haff_mc(
     of Y, row-major). g_builder maps a chunk's (R, n, p) stack of Y to the
     (R, p, p) stack of G and the (R,) analytic gradient traces.
     """
-    if replicates < 1000:
-        raise ValueError(f"at least 1000 replicates required, got {replicates}")
-    if n < 1:
-        raise ValueError(f"degrees of freedom must be positive, got n={n}")
-    sig = linalg.symmetrize(sigma)
-    p = sig.shape[0]
-    sqrt_sigma = linalg.sym_sqrt_pd(sig)
-    sigma_inv = linalg.inv_pd(sig)
+    p = linalg.symmetrize(sigma).shape[0]
+    _, sqrt_sigma, sigma_inv = _mc_setup(replicates, 1000, n, sigma, np.zeros(p))
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
-    for start in range(0, replicates, risk.CHUNK):
-        count = min(risk.CHUNK, replicates - start)
+
+    def body(start: int, stop: int) -> None:
+        count = stop - start
         z = randgen.batch_standard_normal(seed, start, count, n * p)
         y = z.reshape(count, n, p) @ sqrt_sigma
         g, trace_grad = g_builder(y)
@@ -541,8 +543,10 @@ def stein_haff_mc(
                 f"expected ({count}, {p}, {p}) and ({count},)"
             )
         s = y.transpose(0, 2, 1) @ y
-        lhs[start : start + count] = np.einsum("rij,rji->r", sigma_inv @ s, g)
-        rhs[start : start + count] = n * np.einsum("rii->r", g) + trace_grad
+        lhs[start:stop] = np.einsum("rij,rji->r", sigma_inv @ s, g)
+        rhs[start:stop] = n * np.einsum("rii->r", g) + trace_grad
+
+    risk.map_chunks(replicates, body)
     return _mc_report("stein_haff", lhs, rhs)
 
 
@@ -597,44 +601,34 @@ def finiteness_probe(
     When r is given, also summarizes |(n + p - m + 3) r(F)^2/F - 4 r r'|,
     the divergence-size integrand whose expectation the moment conditions
     keep finite. x_scale rescales X only (1/F then scales by 1/x_scale^2
-    replicate for replicate, a useful coupling check).
+    replicate for replicate, a useful coupling check); it must be finite
+    and nonzero.
     """
-    if replicates < 1:
-        raise ValueError(f"replicates must be positive, got {replicates}")
-    sig = linalg.symmetrize(sigma)
-    if sig.shape[0] != p:
-        raise linalg.DimensionMismatchError(
-            f"covariance is {sig.shape[0]} x {sig.shape[0]}, expected p={p}"
-        )
-    t = np.zeros(p) if theta is None else np.asarray(theta, dtype=float)
-    if t.shape != (p,):
-        raise linalg.DimensionMismatchError(f"theta must have length {p}")
-    sqrt_sigma = linalg.sym_sqrt_pd(sig)
+    t, sqrt_sigma, _ = _mc_setup(replicates, 1, n, sigma, np.zeros(p) if theta is None else theta)
+    if t.size != p:
+        raise linalg.DimensionMismatchError(f"theta has length {t.size}, expected p={p}")
+    if not (math.isfinite(x_scale) and x_scale != 0.0):
+        raise ValueError(f"x_scale must be finite and nonzero, got {x_scale}")
     inv_f = np.empty(replicates)
     div = np.empty(replicates) if r is not None else None
-    for start in range(0, replicates, risk.CHUNK):
-        count = min(risk.CHUNK, replicates - start)
-        x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, count)
+
+    def body(start: int, stop: int) -> None:
+        x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, stop - start)
         ba = linalg.batch_pinv_factor(y, x_scale * x)
         with np.errstate(divide="ignore"):
-            inv_f[start : start + count] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
+            inv_f[start:stop] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
         if r is not None:
             rf = r.value(ba.f)
             rdf = r.deriv(ba.f)
             m = ba.rank.astype(float)
-            div[start : start + count] = np.abs(
-                (n + p - m + 3.0) * rf * rf / ba.f - 4.0 * rf * rdf
-            )
-    all_finite = bool(np.isfinite(inv_f).all())
-    div_stats = None
-    if div is not None:
-        all_finite = all_finite and bool(np.isfinite(div).all())
-        div_stats = SummaryStats.of(div)
+            div[start:stop] = np.abs((n + p - m + 3.0) * rf * rf / ba.f - 4.0 * rf * rdf)
+
+    risk.map_chunks(replicates, body)
     return FinitenessSummary(
         inv_f=SummaryStats.of(inv_f),
-        divergence=div_stats,
+        divergence=None if div is None else SummaryStats.of(div),
         replicates=replicates,
-        all_finite=all_finite,
+        all_finite=all(bool(np.isfinite(a).all()) for a in (inv_f, div) if a is not None),
     )
 
 
@@ -760,7 +754,7 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     rf = r(f)
     rdf = r.deriv(f)
     gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)
-    assembled = n * float(np.trace(gmat)) + (-4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f)
+    assembled = n * float(np.trace(gmat)) + _trace_grad_form(rf, rdf, f, m, p)
     target = rf * rf * (n + p - 2.0 * m + 3.0) / f - 4.0 * rf * rdf
     return [_report("sure_assembly", assembled, target, 1e-12)]
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -29,6 +30,21 @@ from .estimators import (
 # (never a function of jobs), which keeps outputs byte-identical across
 # thread counts.
 CHUNK = 2048
+
+
+def map_chunks(total: int, body: Callable[[int, int], object], jobs: int = 1) -> None:
+    """The one chunk loop of every Monte-Carlo engine: body(start, stop) on
+    each CHUNK block of range(total), in order, or on `jobs` threads when
+    there is more than one block. Bodies write disjoint slices, so the
+    schedule cannot change a value; a body's exception propagates."""
+    starts = range(0, total, CHUNK)
+    stops = [min(start + CHUNK, total) for start in starts]
+    if jobs <= 1 or len(starts) <= 1:
+        for start, stop in zip(starts, stops):
+            body(start, stop)
+    else:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(body, starts, stops))
 
 
 def default_theta_norms(p: int) -> np.ndarray:
@@ -186,9 +202,9 @@ def run_study(
     once and the theta loop only combines them. When sure_r is given, the
     unbiased risk-difference integrand for that curve is evaluated on the
     same draws (a degenerate F aborts the run, naming the replicate).
-    jobs > 1 distributes fixed-size chunks over threads; chunk boundaries
-    and the reduction order never change, so results are independent of
-    jobs.
+    Each chunk is one map_chunks body, run on `jobs` threads when jobs > 1;
+    chunk boundaries and the reduction order never change, so results are
+    independent of jobs.
     """
     sigma = randgen.build_covariance(cfg.cov, cfg.p)
     sqrt_sigma = linalg.sym_sqrt_pd(sigma)
@@ -200,12 +216,10 @@ def run_study(
     sure = np.empty((len(norms), total)) if sure_r is not None else None
     degenerate = np.empty((len(norms), total), dtype=bool)
 
-    def process(start: int) -> None:
-        count = min(CHUNK, total - start)
-        stop = start + count
+    def body(start: int, stop: int) -> None:
         # Drawn at theta = 0: theta + (0 + z_x A) equals a draw made at theta.
         noise, y = randgen.batch_normal_wishart(
-            cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, count
+            cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, stop - start
         )
         factor = linalg.factor_stack(y, rel_tol)
         c_noise, psx_noise = linalg.factor_coords(factor, noise)
@@ -237,16 +251,7 @@ def run_study(
                     sure_r, f, factor.rank.astype(float), cfg.p, cfg.n
                 )
 
-    starts = range(0, total, CHUNK)
-    if jobs <= 1 or len(starts) <= 1:
-        for s0 in starts:
-            process(s0)
-    else:
-        # Chunks write disjoint slices; thread scheduling cannot affect the
-        # values, only the completion order.
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for res in pool.map(process, starts):
-                pass
+    map_chunks(total, body, jobs)
     return ReplicateStudy(losses=losses, sure=sure, degenerate=degenerate.sum(axis=1))
 
 

@@ -1,21 +1,28 @@
 """The package names the benchmark reaches into, checked at tier-1.
 
 perfbench/spans.py wraps package functions by attribute name (for example
-`linalg.sym_eigen`, `identities.f_degenerate`, `linalg.batch_pinv_apply`),
-and perfbench/worker.py's correctness gate calls `risk.run_replicates`.
-Deleting or renaming one of them would otherwise fail only when the
-benchmark runs. The tracer is loaded from its file without writing bytecode
-next to it, and nothing under perfbench/ is changed. When ROADMAP item 1
-moves the tracer onto other names, update this test together with it.
+`linalg.sym_eigen`, `identities.f_degenerate`, `linalg.batch_pinv_apply`)
+and swaps `risk.ThreadPoolExecutor` for a pool that opens a `risk.chunk`
+span around each chunk. perfbench/worker.py's correctness gate calls
+`risk.run_replicates` and reads `risk.CHUNK`, `randgen.sample_wishart` and
+other names. Deleting or renaming one of them would otherwise fail only
+when the benchmark runs. The tracer is loaded from its file without writing
+bytecode next to it, and nothing under perfbench/ is changed. When ROADMAP
+item 1 moves the tracer onto other names, update this test together with
+it.
 """
 
+import ast
 import importlib.util
 import pathlib
 import sys
 
-from mpshrink import linalg, risk
+from mpshrink import estimators, identities, linalg, randgen, risk
+from mpshrink.randgen import Identity
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
+WORKER = PERFBENCH / "worker.py"
 
 
 def load_spans(monkeypatch):
@@ -41,3 +48,41 @@ def test_tracer_installs_over_every_name_and_restores_them(monkeypatch):
 
 def test_worker_correctness_gate_entry_point_exists():
     assert callable(risk.run_replicates)
+
+
+def test_every_package_name_the_worker_reaches_exists():
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in (risk, linalg, randgen, estimators, identities)}
+    tree = ast.parse(WORKER.read_text(encoding="utf-8"))
+    reached = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert ("risk", "CHUNK") in reached and ("risk", "run_replicates") in reached
+    missing = sorted(f"{mod}.{attr}" for mod, attr in reached if not hasattr(modules[mod], attr))
+    assert not missing
+
+
+def test_threaded_study_records_one_chunk_span_with_one_draw_per_block(monkeypatch):
+    # The per-layer metrics read chunk work from `risk.chunk` spans, which
+    # the tracer's pool opens around each map_chunks body, and count chunks
+    # by their `randgen.draw` children.
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    spans = load_spans(monkeypatch)
+    cfg = risk.ScenarioConfig(
+        p=6, n=3, cov=Identity(), estimators=[estimators.Usual()], replicates=40, theta_norms=[0.0]
+    )
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        risk.run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=2)
+    finally:
+        tracer.uninstall()
+    recorded = tracer.take()
+    chunks = [s for s in recorded if s.name == "risk.chunk"]
+    assert len(chunks) == 3
+    for chunk in chunks:
+        draws = [s for s in recorded if s.name == "randgen.draw" and s.parent == chunk.sid]
+        assert len(draws) == 1

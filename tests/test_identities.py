@@ -423,6 +423,18 @@ def test_finiteness_probe_validation():
         finiteness_probe(5, 3, np.eye(5), theta=np.zeros(4))
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_finiteness_probe_rejects_nonpositive_n(n):
+    with pytest.raises(ValueError, match=f"degrees of freedom must be positive, got n={n}"):
+        finiteness_probe(5, n, np.eye(5), replicates=100)
+
+
+@pytest.mark.parametrize("x_scale", [0.0, float("inf"), float("nan")])
+def test_finiteness_probe_rejects_zero_or_nonfinite_x_scale(x_scale):
+    with pytest.raises(ValueError, match="x_scale must be finite and nonzero"):
+        finiteness_probe(5, 3, np.eye(5), replicates=100, x_scale=x_scale)
+
+
 def test_summary_stats_quantiles():
     stats = SummaryStats.of(np.arange(1.0, 101.0))
     assert stats.mean == pytest.approx(50.5)

@@ -20,6 +20,7 @@ from mpshrink.estimators import (
     pinv_geometry,
     positive_part_shrinkage,
 )
+from mpshrink.identities import RankDegenerateError, stein_identity_mc
 from mpshrink.randgen import Autoregressive, Identity, RngStream, Spiked, batch_normal_wishart
 from mpshrink.risk import (
     RiskRow,
@@ -370,6 +371,34 @@ def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     assert np.array_equal(study.degenerate, [1, 1])
     rows = risk_curve(cfg, jobs=jobs)
     assert [r.degenerate for r in rows] == [1, 1] * len(cfg.estimators)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_map_chunks_visits_each_fixed_block_once(monkeypatch, jobs):
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    seen = []
+    risk.map_chunks(40, lambda start, stop: seen.append((start, stop)), jobs=jobs)
+    assert sorted(seen) == [(0, 16), (16, 32), (32, 40)]
+
+
+def test_map_chunks_propagates_a_chunk_error_from_the_pool(monkeypatch):
+    monkeypatch.setattr(risk, "CHUNK", 16)
+
+    def body(start, stop):
+        if start == 16:
+            raise RuntimeError(f"chunk {start}:{stop} failed")
+
+    with pytest.raises(RuntimeError, match="chunk 16:32 failed"):
+        risk.map_chunks(40, body, jobs=2)
+
+
+def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch):
+    # Replicate 21 sits in the second 16-replicate chunk, so the message
+    # must carry the chunk's offset, not the index within the chunk.
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    monkeypatch.setattr(randgen, "batch_normal_wishart", _zero_y_of(randgen.batch_normal_wishart, 21))
+    with pytest.raises(RankDegenerateError, match="replicate 21$"):
+        stein_identity_mc(np.zeros(5), np.eye(5), 3, Baranchik(constant_shrinkage(0.3)), replicates=1000)
 
 
 @settings(deadline=None, max_examples=60)
