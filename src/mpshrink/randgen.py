@@ -10,6 +10,7 @@ independent of execution order and thread count.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Union
 
@@ -204,10 +205,9 @@ def sample_wishart(n: int, sigma, rng) -> WishartDraw:
     return WishartDraw(y=y, s=(gram + gram.T) / 2.0, n=int(n), p=s.shape[0])
 
 
-# numpy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx
-# and pcg64.h), reproduced so that a chunk's streams open in bulk. NEP 19
-# keeps SeedSequence stable across numpy releases; batch_standard_normal
-# still checks one stream per call against RngStream.generator().
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx), reproduced so
+# that a chunk's streams are hashed in bulk; NEP 19 keeps it stable across
+# numpy releases, and batch_standard_normal checks it once per call.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _XSHIFT = 16
@@ -217,18 +217,12 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
+_UINT64 = np.dtype(np.uint64)
 
 
 def _int_words(value: int) -> list[int]:
     """SeedSequence's 32-bit words of a nonnegative int, least significant first."""
-    words = [value & _MASK32]
-    value >>= 32
-    while value:
-        words.append(value & _MASK32)
-        value >>= 32
-    return words
+    return [(value >> shift) & _MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _hash_consts(init: int, mult: int):
@@ -254,24 +248,19 @@ def _mix(x, y):
     return r ^ (r >> _XSHIFT)
 
 
-def _seed_words(run: list[int], spawn: list[np.ndarray]) -> np.ndarray:
+def _seed_words(run: list[int], spawn: list) -> np.ndarray:
     """(rows, 4) uint64: SeedSequence.generate_state(4, np.uint64) for the
-    entropy run + spawn, where run holds the master seed's words padded to
-    the pool size and spawn[w] holds every row's spawn word w."""
+    entropy run + spawn. run holds the master seed's words padded to the
+    pool size; spawn[w] is spawn word w, per row (uint32 array) or shared."""
     consts = _hash_consts(_INIT_A, _MULT_A)
     pool = [_hashmix(word, consts) for word in run[:_POOL_SIZE]]
     for src in range(_POOL_SIZE):
         for dst in range(_POOL_SIZE):
             if src != dst:
                 pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts))
-    for word in run[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], _hashmix(word, consts))
-    # Up to here the pool depends on the master seed only; the spawn words
-    # are the first per-row entropy.
     rows = spawn[0].size
     pool = [np.full(rows, word, dtype=np.uint32) for word in pool]
-    for word in spawn:
+    for word in run[_POOL_SIZE:] + spawn:
         for dst in range(_POOL_SIZE):
             pool[dst] = _mix(pool[dst], _hashmix(word, consts))
     consts = _hash_consts(_INIT_B, _MULT_B)
@@ -281,61 +270,70 @@ def _seed_words(run: list[int], spawn: list[np.ndarray]) -> np.ndarray:
     return out.view("<u8")
 
 
-def _pcg64_states(master_seed: int, start: int, count: int) -> list[tuple[int, int]]:
-    """(state, inc) of PCG64(SeedSequence(master_seed, spawn_key=(i,))) for
-    the streams i = start .. start+count-1."""
+def _stream_words(master_seed: int, start: int, count: int) -> np.ndarray:
+    """(count, 4) C-contiguous uint64: row j is
+    SeedSequence(master_seed, spawn_key=(start + j,)).generate_state(4, np.uint64)."""
     run = _int_words(master_seed)
     run += [0] * (_POOL_SIZE - len(run))
-    states = []
+    words = np.empty((count, _POOL_SIZE), dtype=np.uint64)
     first, end = start, start + count
     while first < end:
-        # Ids with the same number of 32-bit words hash as one group.
-        n_words = len(_int_words(first))
-        last = min(end, 1 << (32 * n_words))
-        ids = range(first, last)
-        spawn = [
-            np.array([(i >> (32 * w)) & _MASK32 for i in ids], dtype=np.uint32)
-            for w in range(n_words)
-        ]
-        for s0, s1, s2, s3 in _seed_words(run, spawn).tolist():
-            # pcg64_set_seed: inc = 2·initseq + 1, then two LCG steps from 0
-            # with initstate added in between.
-            inc = ((((s2 << 64) | s3) << 1) | 1) & _MASK128
-            state = ((((s0 << 64) | s1) + inc) * _PCG_MULT + inc) & _MASK128
-            states.append((state, inc))
+        # Ids with as many 32-bit words and the same bits above bit 64 hash as one group.
+        high, n_words = first >> 64, len(_int_words(first))
+        last = min(end, (high + 1) << 64, 1 << (32 * n_words))
+        low = np.arange(last - first, dtype=np.uint64) + np.uint64(first - (high << 64))
+        spawn = [(low & _MASK32).astype(np.uint32), (low >> 32).astype(np.uint32)][:n_words]
+        if high:
+            spawn += _int_words(high)
+        words[first - start : last - start] = _seed_words(run, spawn)
         first = last
-    return states
+    return words
+
+
+@functools.cache
+def _stream_words_type() -> type:
+    """ISeedSequence that hands successive PCG64s the rows of a block of
+    generate_state(4, np.uint64) words, one row each, so that PCG64 seeds
+    itself from them. Made on first use: importing the package leaves
+    numpy.random unloaded."""
+
+    class StreamWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words):
+            # PCG64 reads each row as 4 raw native uint64 words.
+            self.rows = iter(np.ascontiguousarray(words, dtype=_UINT64).reshape(-1, _POOL_SIZE))
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_SIZE or (dtype is not np.uint64 and np.dtype(dtype) != _UINT64):
+                raise ValueError(f"StreamWords serves (4, uint64) only, got ({n_words}, {dtype})")
+            return next(self.rows)
+
+    return StreamWords
 
 
 def batch_standard_normal(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) array whose row j is the first width standard normals
     of stream (master_seed, start + j).
 
-    The streams' PCG64 states are hashed for the whole block at once and
-    every row is drawn from one generator that this call owns. Row 0 is
-    checked against RngStream.generator(), the reference; a mismatch raises
-    RuntimeError rather than letting the variates drift.
+    The streams' SeedSequence words are hashed for the whole block at once
+    and each row's PCG64 seeds itself from its words. Row 0 is checked against
+    RngStream.generator(), the reference, on its words and its variates; a
+    mismatch raises RuntimeError rather than letting the variates drift.
     """
     stream = RngStream(master_seed, start)
+    for name, value in (("count", count), ("width", width)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     z = np.empty((count, width))
     if count == 0:
         return z
-    states = _pcg64_states(int(master_seed), int(start), count)
-    gen = stream.generator()
-    opened = gen.bit_generator.state
-    expected = gen.standard_normal(width)
-    bitgen = gen.bit_generator
-    for j, (state, inc) in enumerate(states):
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        gen.standard_normal(out=z[j])
-    if opened["state"] != {"state": states[0][0], "inc": states[0][1]} or not np.array_equal(
-        z[0], expected
-    ):
+    words = _stream_words(int(master_seed), int(start), count)
+    rows = _stream_words_type()(words)
+    for out in z:
+        np.random.Generator(np.random.PCG64(rows)).standard_normal(out=out)
+    reference = stream.generator()
+    expected = reference.bit_generator.seed_seq.generate_state(_POOL_SIZE, np.uint64)
+    variates = reference.standard_normal(width)
+    if not (np.array_equal(words[0], expected) and np.array_equal(z[0], variates)):
         raise RuntimeError(
             f"bulk stream opening disagrees with numpy {np.__version__}'s SeedSequence "
             f"for stream (master_seed={master_seed}, stream_id={start})"

@@ -260,22 +260,23 @@ def test_batch_standard_normal_rows_are_streams(seed, start, count, width):
 @settings(deadline=None, max_examples=60)
 @given(
     seed=st.integers(min_value=0, max_value=2**130 - 1),
-    base=st.sampled_from([0, 2**32, 2**64]),
+    base=st.sampled_from([0, 2**32, 2**64, 2**65]),
     offset=st.integers(min_value=-6, max_value=6),
     count=st.integers(min_value=0, max_value=5),
     width=st.integers(min_value=0, max_value=40),
 )
 def test_bulk_stream_opening_matches_seed_sequence(seed, base, offset, count, width):
     # Master seeds of 1 to 5 words; blocks that cross 2**32 and 2**64, where
-    # the spawn key gains a word.
+    # the spawn key gains a word, and 2**65, where its words above bit 64 change.
     start = max(0, base + offset)
     z = batch_standard_normal(seed, start, count, width)
-    states = randgen._pcg64_states(seed, start, count)
-    assert z.shape == (count, width) and len(states) == count
+    words = randgen._stream_words(seed, start, count)
+    assert z.shape == (count, width) and words.shape == (count, 4)
     for j in range(count):
         seq = np.random.SeedSequence(entropy=seed, spawn_key=(start + j,))
-        reference = np.random.PCG64(seq).state["state"]
-        assert reference == {"state": states[j][0], "inc": states[j][1]}
+        assert np.array_equal(words[j], seq.generate_state(4, np.uint64))
+        seeded = np.random.PCG64(randgen._stream_words_type()(words[j]))
+        assert seeded.state == np.random.PCG64(seq).state
         assert np.array_equal(z[j], RngStream(seed, start + j).generator().standard_normal(width))
 
 
@@ -293,3 +294,59 @@ def test_batch_standard_normal_rejects_negative_addresses(master_seed, start):
     for count in (0, 2):
         with pytest.raises(ValueError, match="must be nonnegative"):
             batch_standard_normal(master_seed, start, count, 3)
+
+
+@pytest.mark.parametrize("count,width,name", [(-1, 3, "count"), (2, -1, "width")])
+def test_batch_standard_normal_rejects_negative_shape_by_name(count, width, name):
+    with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
+        batch_standard_normal(5, 0, count, width)
+
+
+@pytest.mark.parametrize(
+    "n_words,dtype", [(8, np.uint32), (2, np.uint64), (4, np.uint32), (4, np.int64)]
+)
+def test_stream_words_refuse_other_requests(n_words, dtype):
+    seq = randgen._stream_words_type()(randgen._stream_words(3, 0, 1)[0])
+    with pytest.raises(ValueError, match=r"StreamWords serves \(4, uint64\) only, got \(\d+, "):
+        seq.generate_state(n_words, dtype)
+
+
+@pytest.mark.parametrize(
+    "layout",
+    [lambda w: w, np.asfortranarray, lambda w: w.astype(">u8"), lambda w: w.tolist()],
+    ids=["block", "fortran", "big-endian", "list"],
+)
+def test_stream_words_hand_out_contiguous_native_rows_in_order(layout):
+    words = randgen._stream_words(3, 7, 3)
+    seq = randgen._stream_words_type()(layout(words))
+    for j in range(3):
+        state = seq.generate_state(4, np.uint64)
+        assert state.dtype == np.dtype(np.uint64) and state.dtype.isnative
+        assert state.flags.c_contiguous and state.shape == (4,)
+        assert np.array_equal(state, words[j])
+    seq = randgen._stream_words_type()(layout(words))
+    for j in range(3):
+        reference = np.random.PCG64(np.random.SeedSequence(3, spawn_key=(7 + j,)))
+        assert np.random.PCG64(seq).state == reference.state
+
+
+def test_stream_words_refuse_a_partial_row():
+    with pytest.raises(ValueError, match="size 3 into shape"):
+        randgen._stream_words_type()(np.zeros(3, dtype=np.uint64))
+
+
+@pytest.mark.parametrize("count,opened", [(2048, 1), (0, 0)])
+def test_one_call_opens_at_most_one_reference_stream(monkeypatch, count, opened):
+    # perfbench's randgen.streams_opened counts these calls; one per block
+    # keeps it meaning "draw calls" and catches a return to per-row streams.
+    calls = []
+    reference = RngStream.generator
+
+    def counted(self):
+        calls.append(self)
+        return reference(self)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    z = batch_standard_normal(11, 4096, count, 3)
+    assert z.shape == (count, 3)
+    assert calls == [RngStream(11, 4096)] * opened
