@@ -332,7 +332,8 @@ def run(
     """Execute every scenario; one CSV (and optional SVG) per scenario.
 
     Returns 0 on success, after one stderr line per scenario with its wall
-    time, replicates per second and degenerate draws summed over theta. A
+    time, replicates per second, degenerate draws summed over theta and, for
+    n < p, how many chunks took the p x p fallback of the solve kernel. A
     failing scenario writes a one-line JSON error record to stderr and the
     exit code becomes 1; remaining scenarios still run. jobs only changes
     scheduling, never output bytes.
@@ -364,9 +365,12 @@ def run(
         elapsed = time.perf_counter() - t0
         # Every estimator's rows carry the same per-theta counts; sum one's.
         degenerate = sum(r.degenerate for r in rows if r.estimator == rows[0].estimator)
+        fallback = ""
+        if rows and cfg.n < cfg.p:
+            fallback = f", {rows[0].fallback_chunks} of {rows[0].chunks} chunks on the p x p fallback"
         sys.stderr.write(
             f"{cfg.name}: wrote {cfg.name}.csv ({len(rows)} rows) in {elapsed:.2f} s, "
-            f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws\n"
+            f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws{fallback}\n"
         )
     return 1 if failed else 0
 

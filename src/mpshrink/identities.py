@@ -208,53 +208,15 @@ def _fd_step(coord: float) -> float:
     return FD_STEP_SCALE * max(1.0, abs(coord))
 
 
-def _m_locked(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
-    geo = _pinv_locked(y, rank)
-    u = geo.pinv @ x
-    return np.outer(u, geo.projector @ x)  # S+ x x' S S+
-
-
-def _central_diff_y(fn: Callable[[np.ndarray], object], y: np.ndarray, alpha: int, beta: int):
-    h = _fd_step(y[alpha, beta])
-    yp = y.copy()
-    yp[alpha, beta] += h
-    ym = y.copy()
-    ym[alpha, beta] -= h
-    fp = np.asarray(fn(yp), dtype=float)
-    fm = np.asarray(fn(ym), dtype=float)
-    return (fp - fm) / (2.0 * h)
-
-
-def fd_ds_dy(y, alpha: int, beta: int) -> np.ndarray:
-    """Central difference of S = Y'Y in the (alpha, beta) entry of Y."""
-    yv = np.asarray(y, dtype=float)
-    _checked_index(yv, alpha, beta)
-    return _central_diff_y(_gram, yv, alpha, beta)
-
-
-def fd_df_dy(x, y, alpha: int, beta: int) -> float:
-    """Central difference of F = x' S+ x, pseudoinverse at locked rank."""
-    xv, yv = _checked_xy(x, y)
-    _checked_index(yv, alpha, beta)
-    k = min(yv.shape)
-    return float(_central_diff_y(lambda m: xv @ (_pinv_locked(m, k).pinv @ xv), yv, alpha, beta))
-
-
-def fd_dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
-    """Central difference of S+ x x' S S+, pseudoinverse at locked rank."""
-    xv, yv = _checked_xy(x, y)
-    _checked_index(yv, alpha, beta)
-    k = min(yv.shape)
-    return _central_diff_y(lambda m: _m_locked(xv, m, k), yv, alpha, beta)
-
-
 # The suite's sweeps evaluate every perturbation of Y in one stacked call.
-# Each stacked step repeats the per-slice arithmetic of the per-entry oracles
-# above, which the tests hold them to bit for bit.
+# Each stacked step repeats the per-slice arithmetic of the per-entry
+# central differences in tests/fd_oracles.py (_central_diff_y, fd_ds_dy,
+# fd_df_dy, fd_dm_dy), which the tests hold them to bit for bit.
 
 
 def _central_diff_stack(fn: Callable[[np.ndarray], object], y: np.ndarray) -> np.ndarray:
-    """_central_diff_y at every entry of Y from a single call of fn.
+    """The per-entry central difference at every entry of Y from a single
+    call of fn.
 
     fn maps a (2np, n, p) stack, Y + h_ab e_ab for each entry in row-major
     order followed by Y - h_ab e_ab, to one value per slice. Returns the

@@ -1,6 +1,8 @@
 """Dense symmetric linear algebra: spectral decomposition, Moore-Penrose
-pseudoinversion with an explicit rank cutoff, range/null projectors and
-quadratic forms.
+pseudoinversion with an explicit rank cutoff, range/null projectors,
+quadratic forms, and the batched pseudoinverse of S = Y'Y that the
+Monte-Carlo engines use: linear solves in G = YY' when every G in a stack
+has full rank n < p, an eigendecomposition of S otherwise.
 
 Everything works on plain float64 arrays. Matrices are symmetrized on entry
 because products accumulated in floating point drift off symmetry, and the
@@ -19,13 +21,6 @@ MAX_DIM = 512
 # A symmetric PSD input may carry eigenvalues this far below zero from
 # floating-point noise before it is rejected.
 PSD_SLACK = 1e-8
-
-# factor_stack solves in the n x n Gram YY' when n <= THIN_SIDE_RATIO * p.
-# On 2048-replicate stacks the thin side is 3-15x faster at n = p/2 and no
-# faster from about n = 0.85 p on. Near n = p the smallest eigenvalue of S
-# sits at the edge of the Marchenko-Pastur law, where any two solvers agree
-# only to about 1e-9, so outputs there would move with nothing gained.
-THIN_SIDE_RATIO = 0.75
 
 
 class DimensionMismatchError(ValueError):
@@ -243,19 +238,22 @@ class BatchPinvApply:
 
 @dataclass(eq=False)
 class PinvFactor:
-    """The x-independent half of the batched pseudoinverse for a stack of S_i.
+    """The x-independent half of the batched pseudoinverse for a stack of
+    S_i = Y_i'Y_i. rank and lam_max_pinv are the cutoff rule's outputs.
 
-    vectors are the eigenvectors (ascending order) of S_i, or of the Gram
-    matrix G_i = Y_i Y_i' on the thin side, where y holds the Y_i and scale
-    the power of two t_i that apply_factor carries G+^2 b by. keep, rank,
-    inv_w and lam_max_pinv are the cutoff rule's outputs (_batch_spectrum).
+    On the solve side (n < p, every entry of rank n) gram holds G_i = Y_i Y_i',
+    y the Y_i and scale the power of two t_i that apply_factor carries
+    G^-1 (t d) by. On the p x p side vectors are S_i's eigenvectors
+    (ascending order), keep the kept-eigenvalue mask and inv_w 1/w on the
+    kept eigenvalues (0 elsewhere).
     """
 
-    vectors: np.ndarray
-    keep: np.ndarray
     rank: np.ndarray
-    inv_w: np.ndarray
     lam_max_pinv: np.ndarray
+    vectors: np.ndarray | None = None
+    keep: np.ndarray | None = None
+    inv_w: np.ndarray | None = None
+    gram: np.ndarray | None = None
     y: np.ndarray | None = None
     scale: np.ndarray | None = None
 
@@ -268,16 +266,24 @@ def check_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"stack entry {i}: {what} has non-finite entries")
 
 
-def _batch_spectrum(a: np.ndarray, rel_tol: float):
-    """eigh of a symmetric PSD stack plus the pseudo_inverse cutoff rule.
+def _sym_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The stack a @ b symmetrised as (M + M')/2, in place and 256 entries
+    at a time, so that no second stack of its size is ever held."""
+    m = a @ b
+    for i in range(0, len(m), 256):
+        slab = m[i : i + 256]
+        slab[...] = (slab + slab.transpose(0, 2, 1)) / 2.0
+    return m
 
-    Returns the eigenvectors (ascending order), the kept-eigenvalue mask,
-    the ranks, 1/w on the kept eigenvalues (0 elsewhere) and lambda_max of
-    each pseudoinverse. Raises on a non-converged solve or an eigenvalue
-    below the PSD slack, naming the stack entry.
-    """
+
+def _batch_spectrum(a: np.ndarray, rel_tol: float, vectors: bool = True):
+    """eigh (eigvalsh without vectors) of a symmetric PSD stack plus the
+    pseudo_inverse cutoff rule: the eigenvalues and eigenvectors (ascending;
+    None without vectors), the kept-eigenvalue mask, the ranks and lambda_max
+    of each pseudoinverse. Raises on a non-converged solve or an eigenvalue
+    below the PSD slack, naming the stack entry."""
     try:
-        w, v = np.linalg.eigh(a)  # ascending per slice
+        w, v = np.linalg.eigh(a) if vectors else (np.linalg.eigvalsh(a), None)
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(a.shape[1]) from exc
     wmax = w[:, -1]
@@ -290,110 +296,103 @@ def _batch_spectrum(a: np.ndarray, rel_tol: float):
     cutoff = rel_tol * np.clip(wmax, 0.0, None)
     keep = w > cutoff[:, None]
     rank = keep.sum(axis=1)
-    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     wmin_kept = np.where(keep, w, np.inf).min(axis=1)
     lam_max_pinv = np.where(rank > 0, 1.0 / wmin_kept, 0.0)
-    return v, keep, rank, inv_w, lam_max_pinv
+    return w, v, keep, rank, lam_max_pinv
 
 
 def _square_factor(s: np.ndarray, rel_tol: float | None) -> PinvFactor:
     check_finite(s, "S")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(s.shape[1])
-    return PinvFactor(*_batch_spectrum(s, rel_tol))
+    rel_tol = default_rel_tol(s.shape[1]) if rel_tol is None else rel_tol
+    w, v, keep, rank, lam_max_pinv = _batch_spectrum(s, rel_tol)
+    inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
+    return PinvFactor(rank, lam_max_pinv, vectors=v, keep=keep, inv_w=inv_w)
 
 
 def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
-    """Factor S_i = Y_i'Y_i for repeated apply_factor calls, in the smaller
-    Gram matrix.
+    """Factor S_i = Y_i'Y_i for repeated apply_factor calls.
 
-    y_stack has shape (R, n, p). For n <= THIN_SIDE_RATIO * p the nonzero
-    spectrum of S is that of G = YY' (n x n), which is decomposed;
-    otherwise S = Y'Y is formed and symmetrised. The cutoff rule is the
-    p x p one (rel_tol * lambda_max, rel_tol defaulting to
-    default_rel_tol(p)), and G's nonzero eigenvalues are S's, so ranks
-    agree. A non-finite Gram matrix is rejected, naming the stack entry.
+    y_stack has shape (R, n, p). For n < p the nonzero spectrum of S is
+    that of G = YY' (n x n, symmetrised), whose eigenvalues alone fix the
+    ranks and lambda_max(S+) under the p x p cutoff rule (rel_tol *
+    lambda_max, rel_tol defaulting to default_rel_tol(p)). When every entry
+    has rank n, S+ = Y'G^-2 Y and the factor keeps G for linear solves.
+    Otherwise, and always for n >= p, the whole stack takes the p x p side:
+    S = Y'Y symmetrised and eigendecomposed. A non-finite Gram matrix is
+    rejected, naming the stack entry.
     """
     y = np.asarray(y_stack, dtype=float)
     if y.ndim != 3:
         raise DimensionMismatchError(f"expected a (R, n, p) stack, got shape {y.shape}")
     _, n, p = y.shape
+    rel_tol = default_rel_tol(p) if rel_tol is None else rel_tol
     yt = y.transpose(0, 2, 1)
-    if n > THIN_SIDE_RATIO * p:
-        s = yt @ y
-        s = (s + s.transpose(0, 2, 1)) / 2.0
-        return _square_factor(s, rel_tol)
-    g = y @ yt
-    g = (g + g.transpose(0, 2, 1)) / 2.0
-    # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
-    check_finite(g, "YY'")
-    if rel_tol is None:
-        rel_tol = default_rel_tol(p)
-    # G+^2 b ~ |Y|^-3 over- or underflows for extreme |Y| where S+x ~ |Y|^-2
-    # does not. Carrying it scaled by a power of two t ~ |Y|_F = sqrt(tr G)
-    # is exact, so the bits are those of Y'(G+^2 b) whenever that was finite.
-    t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
-    return PinvFactor(*_batch_spectrum(g, rel_tol), y=y, scale=t)
+    if n < p:
+        g = _sym_product(y, yt)
+        # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
+        check_finite(g, "YY'")
+        _, _, _, rank, lam_max_pinv = _batch_spectrum(g, rel_tol, vectors=False)
+        if np.all(rank == n):
+            # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
+            # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
+            # t ~ |Y|_F = sqrt(tr G) is exact.
+            t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
+            return PinvFactor(rank, lam_max_pinv, gram=g, y=y, scale=t)
+    return _square_factor(_sym_product(yt, y), rel_tol)
 
 
 def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
-    """The part of apply_factor that is linear in x: the coordinates c of x
-    in the factor's kept eigenbasis, and P_S x.
+    """The part of apply_factor that is linear in x, for k vectors per stack
+    entry: x_stack (R, k, p) gives the coordinates c (R, k, .) and P_S x
+    (R, k, p).
 
-    On the thin side, with G = U diag(w) U' and b = Yx, c = (U'b) w+ and
-    P_S x = Y'U c; on the square side c = keep (V'x) and P_S x = V c. Both
-    are linear in x, so the coordinates of x + t u are c(x) + t c(u). A
-    non-finite x is rejected, naming the stack entry.
+    On the solve side c = G^-1 Y x, from one solve with all k right-hand
+    sides, and P_S x = Y'c; on the p x p side c = keep (V'x) and
+    P_S x = V c. Both are linear in x, so the coordinates of x + t u are
+    c(x) + t c(u). A non-finite x is rejected, naming the stack entry.
     """
     v, y = factor.vectors, factor.y
     x = np.asarray(x_stack, dtype=float)
-    shape = (v.shape[0], v.shape[1] if y is None else y.shape[2])
-    if x.shape != shape:
+    r, p = len(factor.rank), (v if y is None else y).shape[2]
+    if x.ndim != 3 or x.shape[0] != r or x.shape[2] != p:
         raise DimensionMismatchError(
-            f"vector stack shape {x.shape} does not match the factor's {shape}"
+            f"vector stack shape {x.shape} does not match the factor's (R, k, p) = ({r}, k, {p})"
         )
     check_finite(x, "x")
     if y is None:
-        c = np.where(factor.keep, np.einsum("rjk,rj->rk", v, x), 0.0)
-        return c, np.einsum("rjk,rk->rj", v, c)
-    b = np.einsum("rnp,rp->rn", y, x)
-    c = np.einsum("rjk,rj->rk", v, b) * factor.inv_w  # U'G+b; zero past the rank
-    return c, np.einsum("rnp,rn->rp", y, np.einsum("rjk,rk->rj", v, c))
+        c = np.where(factor.keep[:, None], np.einsum("rjk,rmj->rmk", v, x), 0.0)
+        return c, np.einsum("rjk,rmk->rmj", v, c)
+    # Explicit (R, n, k) right-hand sides: solve reads them the same way
+    # under every numpy version.
+    d = np.linalg.solve(factor.gram, np.einsum("rnp,rkp->rnk", y, x))
+    return d.transpose(0, 2, 1), np.einsum("rnp,rnk->rkp", y, d)
 
 
 def f_from_coords(factor: PinvFactor, c) -> np.ndarray:
-    """F = x'S+x from factor_coords' c: sum c^2 on the thin side, where c
-    already carries w+, and sum c^2 w+ on the square side."""
-    if factor.y is None:
-        return np.einsum("rk,rk->r", c * factor.inv_w, c)
-    return np.einsum("rk,rk->r", c, c)
+    """F = x'S+x from one (R, .) slice of factor_coords' c: sum c^2 on the
+    solve side, sum c^2 w+ on the p x p side."""
+    return np.einsum("rk,rk->r", c * factor.inv_w if factor.y is None else c, c)
 
 
 def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
     """F, P_S x, S+ x and lambda_max(S+) for one (R, p) stack of x.
 
-    On the thin side, with G = U diag(w) U' and b = Yx,
+    On the solve side, with d = G^-1 Y x,
 
-        F = sum_k (u_k'b / w_k)^2,  P_S x = Y'G+ b,  S+ x = Y'G+^2 b,
+        F = |d|^2,  P_S x = Y'd,  S+ x = Y'G^-1 (t d) / t,
 
-    and lambda_max(S+) = 1 / the smallest kept w. A non-finite x is
-    rejected, naming the stack entry.
+    with t the factor's power-of-two scale, and lambda_max(S+) =
+    1 / lambda_min(G). A non-finite x is rejected, naming the stack entry.
     """
-    v, inv_w, y = factor.vectors, factor.inv_w, factor.y
-    c, psx = factor_coords(factor, x_stack)
-    if y is None:
-        spx = np.einsum("rjk,rk->rj", v, c * inv_w)
+    x = np.asarray(x_stack, dtype=float)
+    c, psx = (a[:, 0] for a in factor_coords(factor, x[..., None, :]))
+    if factor.y is None:
+        spx = np.einsum("rjk,rk->rj", factor.vectors, c * factor.inv_w)
     else:
         t = factor.scale
-        d = np.einsum("rjk,rk->rj", v, c * (inv_w * t[:, None]))
-        spx = np.einsum("rnp,rn->rp", y, d) / t[:, None]
-    return BatchPinvApply(
-        f=f_from_coords(factor, c),
-        rank=factor.rank,
-        psx=psx,
-        spx=spx,
-        lam_max_pinv=factor.lam_max_pinv,
-    )
+        e = np.linalg.solve(factor.gram, (c * t[:, None])[:, :, None])
+        spx = np.einsum("rnp,rn->rp", factor.y, e[:, :, 0]) / t[:, None]
+    return BatchPinvApply(f_from_coords(factor, c), factor.rank, psx, spx, factor.lam_max_pinv)
 
 
 def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
@@ -411,6 +410,6 @@ def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPin
 
 
 def batch_pinv_factor(y_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
-    """batch_pinv_apply for S_i = Y_i'Y_i, solved in the smaller Gram matrix:
+    """batch_pinv_apply for S_i = Y_i'Y_i without forming S when n < p:
     factor_stack(y_stack, rel_tol), then apply_factor with x_stack (R, p)."""
     return apply_factor(factor_stack(y_stack, rel_tol), x_stack)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -170,11 +170,15 @@ class ReplicateStudy:
     """Per-replicate losses (one row per estimator) on common draws, the
     number of degenerate draws, which every estimator passed through
     unshrunk, and the unbiased risk-difference integrand when one was asked
-    for. From run_study all three carry a leading theta axis."""
+    for. From run_study all three carry a leading theta axis. chunks counts
+    the CHUNK blocks, and fallback_chunks those of an n < p scenario whose
+    factor took the p x p side because some draw had rank below n."""
 
     losses: np.ndarray
     degenerate: np.ndarray
     sure: np.ndarray | None = None
+    chunks: int = 0
+    fallback_chunks: int = 0
 
 
 def run_study(
@@ -199,9 +203,10 @@ def run_study(
     with q_zz = z'Sigma^-1 z, q_zp = z'Sigma^-1 P_S X and
     q_pp = (P_S X)'Sigma^-1 P_S X. P_S X and the factor coordinates that
     give F are linear in X, so each chunk applies the factor to z and to u
-    once and the theta loop only combines them. When sure_r is given, the
-    unbiased risk-difference integrand for that curve is evaluated on the
-    same draws (a degenerate F aborts the run, naming the replicate).
+    once (one solve with both as right-hand sides) and the theta loop only
+    combines them. When sure_r is given, the unbiased risk-difference
+    integrand for that curve is evaluated on the same draws (a degenerate F
+    aborts the run, naming the replicate).
     Each chunk is one map_chunks body, run on `jobs` threads when jobs > 1;
     chunk boundaries and the reduction order never change, so results are
     independent of jobs.
@@ -215,6 +220,7 @@ def run_study(
     losses = np.empty((len(norms), len(specs), total))
     sure = np.empty((len(norms), total)) if sure_r is not None else None
     degenerate = np.empty((len(norms), total), dtype=bool)
+    fallbacks: list[int] = []
 
     def body(start: int, stop: int) -> None:
         # Drawn at theta = 0: theta + (0 + z_x A) equals a draw made at theta.
@@ -222,10 +228,13 @@ def run_study(
             cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, stop - start
         )
         factor = linalg.factor_stack(y, rel_tol)
-        c_noise, psx_noise = linalg.factor_coords(factor, noise)
-        c_dir, psx_dir = linalg.factor_coords(
-            factor, np.broadcast_to(cfg.theta_direction, noise.shape)
-        )
+        if factor.gram is None and cfg.n < cfg.p:
+            fallbacks.append(start)
+        # z and u go through the factor together: one solve, two right-hand sides.
+        both = np.stack([noise, np.broadcast_to(cfg.theta_direction, noise.shape)], axis=1)
+        c, psx_both = linalg.factor_coords(factor, both)
+        c_noise, c_dir = c[:, 0], c[:, 1]
+        psx_noise, psx_dir = psx_both[:, 0], psx_both[:, 1]
         nsi = noise @ sigma_inv
         q_zz = _rowdot(nsi, noise)
         for t, tn in enumerate(norms):
@@ -252,7 +261,13 @@ def run_study(
                 )
 
     map_chunks(total, body, jobs)
-    return ReplicateStudy(losses=losses, sure=sure, degenerate=degenerate.sum(axis=1))
+    return ReplicateStudy(
+        losses=losses,
+        sure=sure,
+        degenerate=degenerate.sum(axis=1),
+        chunks=len(range(0, total, CHUNK)),
+        fallback_chunks=len(fallbacks),
+    )
 
 
 def run_replicates(
@@ -265,7 +280,8 @@ def run_replicates(
     """run_study at the one |theta| = theta_norm: losses of shape (spec,
     replicate), sure of shape (replicate,) and a scalar degenerate count."""
     study = run_study(cfg, specs, [theta_norm], sure_r, jobs)
-    return ReplicateStudy(
+    return replace(
+        study,
         losses=study.losses[0],
         sure=None if sure_r is None else study.sure[0],
         degenerate=study.degenerate[0],
@@ -289,7 +305,8 @@ class RiskRow:
     """One (estimator, theta_norm) cell of a scenario's risk table.
 
     degenerate counts the draws at this theta_norm that every estimator
-    passed through unshrunk; the CSV does not carry it.
+    passed through unshrunk, and chunks and fallback_chunks are the
+    scenario's run_study counts; the CSV carries none of them.
     """
 
     scenario: str
@@ -302,6 +319,8 @@ class RiskRow:
     risk: float
     std_err: float
     degenerate: int
+    chunks: int
+    fallback_chunks: int
 
 
 def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
@@ -330,6 +349,8 @@ def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
                     risk=est.mean_loss,
                     std_err=est.std_error,
                     degenerate=int(study.degenerate[t]),
+                    chunks=study.chunks,
+                    fallback_chunks=study.fallback_chunks,
                 )
             )
     return rows

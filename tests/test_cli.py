@@ -305,6 +305,33 @@ def test_run_jobs_do_not_change_bytes(tmp_path):
     assert a == b
 
 
+def test_run_reports_fallback_chunks_and_keeps_bytes_across_jobs(monkeypatch, tmp_path, capsys):
+    # Replicate 40's Y gets a duplicate row, so its 16-replicate chunk takes
+    # the p x p fallback while the other two chunks take the solve side.
+    from mpshrink import randgen, risk
+
+    draw = randgen.batch_normal_wishart
+
+    def duplicated(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+        if start <= 40 < start + count:
+            y[40 - start, -1] = y[40 - start, 0]
+        return x, y
+
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    monkeypatch.setattr(randgen, "batch_normal_wishart", duplicated)
+    text = SMALL_RUN + "\n[wide]\np = 3\nn = 4\ncov = identity\nestimators = usual\n"
+    out = {}
+    for jobs in (1, 4):
+        assert run(parse_config(text), jobs=jobs, out_dir=str(tmp_path / str(jobs))) == 0
+        out[jobs] = {f.name: f.read_bytes() for f in (tmp_path / str(jobs)).iterdir()}
+        err = capsys.readouterr().err
+        assert re.search(r"^one: .*, 0 degenerate draws, 1 of 4 chunks on the p x p fallback$", err, re.M)
+        # n >= p always runs on the p x p side: nothing falls back.
+        assert re.search(r"^wide: .*, 0 degenerate draws$", err, re.M)
+    assert len(out[1]) == 4 and out[1] == out[4]
+
+
 def test_run_replicates_override(tmp_path):
     run(parse_config(SMALL_RUN), replicates_override=7, out_dir=str(tmp_path))
     lines = (tmp_path / "one.csv").read_text().strip().split("\n")
@@ -387,7 +414,8 @@ def test_main_run_subcommand(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "out" / "one.csv").exists()
     assert re.search(
-        r"^one: wrote one\.csv \(\d+ rows\) in \d+\.\d\d s, \d+ replicates/s, 0 degenerate draws$",
+        r"^one: wrote one\.csv \(\d+ rows\) in \d+\.\d\d s, \d+ replicates/s, 0 degenerate draws, "
+        r"0 of 1 chunks on the p x p fallback$",
         capsys.readouterr().err,
         re.M,
     )

@@ -3,8 +3,8 @@
 The files under golden/figure1-2100 are the CSVs that five figure1.cfg
 sections write at --replicates 2100 (two chunks): one each of p10-n5,
 p10-n9, p20-n10, p20-n19 and p50-n25, covering the three covariance shapes,
-both sides of the kernel's thin/square choice and the largest p, where the
-theta sweep does the most arithmetic. A change that claims to keep the
+n = p/2 and n = p-1 on the solve side of the kernel and the largest p,
+where the theta sweep does the most arithmetic. A change that claims to keep the
 output bytes must keep these, at any --jobs. To re-pin them after a change
 that moves the bytes on purpose, run the same sections and copy the CSVs.
 

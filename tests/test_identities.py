@@ -13,7 +13,6 @@ from mpshrink.identities import (
     RankDegenerateError,
     SummaryStats,
     _central_diff_stack,
-    _central_diff_y,
     _df_dy_checks,
     _dm_dy_checks,
     _ds_dy_checks,
@@ -29,9 +28,6 @@ from mpshrink.identities import (
     dm_dy,
     ds_dy,
     eye_g_builder,
-    fd_df_dy,
-    fd_dm_dy,
-    fd_ds_dy,
     finiteness_probe,
     run_default_suite,
     sample_identity_config,
@@ -42,6 +38,8 @@ from mpshrink.identities import (
 )
 from mpshrink.linalg import pseudo_inverse_from_eigen, sym_eigen
 from mpshrink.randgen import RngStream
+
+from fd_oracles import _central_diff_y, fd_df_dy, fd_dm_dy, fd_ds_dy
 
 
 def smooth_r():

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from mpshrink.estimators import f_degenerate
 from mpshrink.linalg import (
     MAX_DIM,
-    THIN_SIDE_RATIO,
     BatchPinvApply,
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -310,7 +309,7 @@ def test_batch_pinv_apply_rejects_indefinite_entry():
         batch_pinv_apply(s, x)
 
 
-# ------------------------------------------------------- thin-side kernel
+# -------------------------------------------- solve and p x p factor sides
 
 
 def square_path(y, x):
@@ -370,14 +369,16 @@ def agreement_tol(kappa: float) -> float:
     return max(1e-10, 1e-12 * kappa)
 
 
-_SHAPES = st.sampled_from(["half", "thin", "p-1", "p", "p+1"])
+# "p-1" and "p" straddle the kernel's choice: n < p takes the solve side
+# unless a draw has rank below n, n >= p always the p x p side.
+_SHAPES = st.sampled_from(["quarter", "half", "p-1", "p", "p+1"])
 _ROW_DEFECT = st.sampled_from(["none", "duplicate", "near"])
 
 
 def draw_factor(rng, p, shape, defect, scale_exp, near_exp, reps=3):
     n = {
+        "quarter": max(1, p // 4),
         "half": max(2, p // 2 - int(rng.integers(0, 3))),
-        "thin": int(np.floor(THIN_SIDE_RATIO * p)),
         "p-1": p - 1,
         "p": p,
         "p+1": p + 1,
@@ -412,42 +413,46 @@ def svd_spx(y, x, rank):
     near_exp=st.floats(min_value=-6.0, max_value=0.0),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# kappa 2.7e8: the p x p oracle's S+ x is 1.2e-3 off the SVD's, the thin
+# kappa 2.7e8: the p x p oracle's S+ x is 1.2e-3 off the SVD's, the solve
 # kernel's 3.1e-7 off.
 @example(p=17, shape="half", defect="near", scale_exp=0, near_exp=-3.6875, seed=9108064)
 def test_batch_pinv_factor_matches_square_path(p, shape, defect, scale_exp, near_exp, seed):
     """Equal ranks; F, P_S x and lambda_max(S+) within 1e-10 relative of the
     p x p path (1e-12 * kappa when the kept spectrum of S is ill-conditioned).
 
-    On the thin side S+ x is checked against an SVD of Y at the same
-    tolerance instead: forming Y'Y squares the condition number, so along a
-    near-duplicate row the p x p path's S+ x is the less accurate of the two.
+    The solve side is taken exactly when n < p and every draw has rank n.
+    There S+ x is checked against an SVD of Y at the same tolerance instead:
+    forming Y'Y squares the condition number, so along a near-duplicate row
+    the p x p path's S+ x is the less accurate of the two. Every other stack
+    takes the p x p side, which is batch_pinv_apply on S bit for bit.
     """
     y, x = draw_factor(np.random.default_rng(seed), p, shape, defect, scale_exp, near_exp)
     tol = agreement_tol(spectrum_checked_stack(y))
-    thin = batch_pinv_factor(y, x)
+    got = batch_pinv_factor(y, x)
     oracle = square_path(y, x)
-    assert np.array_equal(thin.rank, oracle.rank)
+    assert np.array_equal(got.rank, oracle.rank)
     for field in ("f", "psx", "lam_max_pinv"):
-        assert rel_diff(getattr(thin, field), getattr(oracle, field)) <= tol, field
-    if y.shape[1] > THIN_SIDE_RATIO * p:
-        # The square side is batch_pinv_apply on S, bit for bit.
-        for field in ("f", "rank", "psx", "spx", "lam_max_pinv"):
-            assert np.array_equal(getattr(thin, field), getattr(oracle, field))
+        assert rel_diff(getattr(got, field), getattr(oracle, field)) <= tol, field
+    solved = factor_stack(y).gram is not None
+    assert solved == (y.shape[1] < p and bool(np.all(oracle.rank == y.shape[1])))
+    if solved:
+        assert rel_diff(got.spx, svd_spx(y, x, got.rank)) <= tol
     else:
-        assert rel_diff(thin.spx, svd_spx(y, x, thin.rank)) <= tol
+        for field in ("f", "rank", "psx", "spx", "lam_max_pinv"):
+            assert np.array_equal(getattr(got, field), getattr(oracle, field))
 
 
 def test_batch_pinv_factor_tiny_factor_keeps_spx_finite():
     # Y ~ 1e-99 with a near-duplicate row: S+x ~ 1e206 is representable,
-    # but forming (U'b / w) / w on the Gram side first reaches ~1e313.
+    # but forming G^-2 Y x on the solve side first reaches ~1e313.
     y, x = draw_factor(np.random.default_rng(0), 5, "half", "near", -99, -4.0)
-    thin = batch_pinv_factor(y, x)
-    assert np.isfinite(thin.spx).all()
+    assert factor_stack(y).gram is not None
+    got = batch_pinv_factor(y, x)
+    assert np.isfinite(got.spx).all()
     s = y.transpose(0, 2, 1) @ y
     w = np.linalg.eigvalsh((s + s.transpose(0, 2, 1)) / 2.0)
     kappa = float(np.max(w[:, -1] / w[:, -y.shape[1]]))
-    assert kernel_agreement(thin, square_path(y, x)) <= agreement_tol(kappa)
+    assert kernel_agreement(got, square_path(y, x)) <= agreement_tol(kappa)
 
 
 def test_batch_pinv_factor_duplicate_row_drops_rank():
@@ -458,6 +463,33 @@ def test_batch_pinv_factor_duplicate_row_drops_rank():
     ba = batch_pinv_factor(y, x)
     assert np.array_equal(ba.rank, np.full(4, 5))
     assert kernel_agreement(ba, square_path(y, x)) <= 1e-10
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "near", "zero", "mixed"])
+def test_rank_deficient_stack_takes_the_p_x_p_fallback(defect):
+    """One draw below rank n < p sends the whole stack to the p x p side,
+    which is batch_pinv_apply on S bit for bit: a duplicate row, a
+    near-duplicate row far below the rank cutoff, an all-zero Y, and a
+    stack where only one entry of four is rank-deficient."""
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((4, 6, 10))
+    x = rng.standard_normal((4, 10))
+    if defect == "duplicate":
+        y[:, 5] = y[:, 2]
+    elif defect == "near":
+        y[:, 5] = y[:, 2] + 1e-9 * rng.standard_normal((4, 10))
+    elif defect == "zero":
+        y[:] = 0.0
+    else:
+        y[2, 5] = y[2, 0]
+    factor = factor_stack(y)
+    assert factor.gram is None
+    want_rank = {"duplicate": 5, "near": 5, "zero": 0, "mixed": [6, 6, 5, 6]}[defect]
+    assert np.array_equal(factor.rank, np.broadcast_to(want_rank, (4,)))
+    got = apply_factor(factor, x)
+    want = square_path(y, x)
+    for field in ("f", "rank", "psx", "spx", "lam_max_pinv"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
 def test_batch_pinv_factor_zero_factor_entry():
@@ -477,31 +509,35 @@ def test_batch_pinv_factor_zero_factor_entry():
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_factor_coords_combine_linearly(p, shape, t, seed):
-    """F, P_S x and the degeneracy mask from factor_coords(noise) + t *
-    factor_coords(u) match apply_factor at x = noise + t u, on both kernel
-    sides; entry 1 has a zero Y, so its draw is degenerate at every t."""
+    """F, P_S x and the degeneracy mask from factor_coords on the stacked
+    (noise, u) pair, combined as c(noise) + t c(u), match apply_factor at
+    x = noise + t u, on both kernel sides. Entry 1 of the full stack has a
+    zero Y, so its draw is degenerate at every t and the stack takes the
+    p x p side; without it, an n < p stack takes the solve side."""
     rng = np.random.default_rng(seed)
     y, noise = draw_factor(rng, p, shape, "none", 0, 0.0, reps=4)
     y[1] = 0.0
     tol = agreement_tol(spectrum_checked_stack(y))
     u = rng.standard_normal(p)
     u /= np.linalg.norm(u)
-    factor = factor_stack(y)
-    c0, psx0 = factor_coords(factor, noise)
-    c1, psx1 = factor_coords(factor, np.broadcast_to(u, noise.shape))
-    f = f_from_coords(factor, c0 + t * c1)
-    psx = psx0 + t * psx1
-    x = t * u + noise
-    direct = apply_factor(factor, x)
-    assert rel_diff(f, direct.f) <= tol
-    assert rel_diff(psx, direct.psx) <= tol
+    for rows in ([0, 1, 2, 3], [0, 2, 3]):
+        factor = factor_stack(y[rows])
+        assert (factor.gram is not None) == (len(rows) == 3 and y.shape[1] < p)
+        both = np.stack([noise[rows], np.broadcast_to(u, noise[rows].shape)], axis=1)
+        c, psx_both = factor_coords(factor, both)
+        f = f_from_coords(factor, c[:, 0] + t * c[:, 1])
+        psx = psx_both[:, 0] + t * psx_both[:, 1]
+        x = t * u + noise[rows]
+        direct = apply_factor(factor, x)
+        assert rel_diff(f, direct.f) <= tol
+        assert rel_diff(psx, direct.psx) <= tol
 
-    def mask(f, psx):
-        x_sq = np.einsum("ri,ri->r", x, x)
-        return f_degenerate(f, x_sq, factor.rank, np.linalg.norm(psx, axis=1), factor.lam_max_pinv)
+        def mask(f, psx):
+            x_sq = np.einsum("ri,ri->r", x, x)
+            return f_degenerate(f, x_sq, factor.rank, np.linalg.norm(psx, axis=1), factor.lam_max_pinv)
 
-    assert np.array_equal(mask(f, psx), mask(direct.f, direct.psx))
-    assert mask(f, psx)[1]
+        assert np.array_equal(mask(f, psx), mask(direct.f, direct.psx))
+        assert mask(f, psx)[1] == (len(rows) == 4)
 
 
 def test_batch_pinv_factor_shape_errors():
@@ -539,7 +575,7 @@ def test_batch_pinv_factor_rejects_nonfinite_entry(n):
 )
 def test_factor_then_apply_matches_batch_pinv_factor(p, shape, defect, seed):
     """One factor_stack serves several x stacks, each bit for bit equal to a
-    fresh batch_pinv_factor call, on both sides of the thin/square choice."""
+    fresh batch_pinv_factor call, on both sides of the solve/p x p choice."""
     rng = np.random.default_rng(seed)
     y, x = draw_factor(rng, p, shape, defect, 0, -3.0)
     factor = factor_stack(y)
@@ -550,7 +586,7 @@ def test_factor_then_apply_matches_batch_pinv_factor(p, shape, defect, seed):
             assert np.array_equal(getattr(got, field), getattr(want, field)), field
 
 
-@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("n", [3, 9, 12])
 def test_apply_factor_rejects_bad_x(n):
     factor = factor_stack(np.random.default_rng(2).standard_normal((3, n, 10)))
     x = np.ones((3, 10))

@@ -321,7 +321,7 @@ def _count_draws(monkeypatch):
     return starts
 
 
-@pytest.mark.parametrize("n", [3, 5])  # p = 6: the thin side, then the square side
+@pytest.mark.parametrize("n", [3, 5, 7])  # p = 6: the solve side, then the p x p side
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
     monkeypatch.setattr(risk, "CHUNK", 16)
@@ -369,6 +369,8 @@ def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
     assert np.array_equal(study.losses[:, 0, 21], study.losses[:, 1, 21])
     assert np.array_equal(study.degenerate, [1, 1])
+    # The zero Y sends its chunk, and only that one, to the p x p side.
+    assert (study.chunks, study.fallback_chunks) == (3, 1)
     rows = risk_curve(cfg, jobs=jobs)
     assert [r.degenerate for r in rows] == [1, 1] * len(cfg.estimators)
 
@@ -404,7 +406,7 @@ def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch)
 @settings(deadline=None, max_examples=60)
 @given(
     half_p=st.integers(min_value=2, max_value=6),
-    side=st.sampled_from(["thin", "square"]),
+    side=st.sampled_from(["solve", "pxp"]),
     n_pick=st.integers(min_value=0, max_value=1000),
     cov=st.sampled_from([Identity(), Spiked(), Autoregressive(0.5)]),
     theta_mult=st.floats(min_value=0.0, max_value=6.0),
@@ -414,13 +416,14 @@ def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch)
 def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta_mult, shrink, seed):
     """Per replicate, run_study's quadratic-in-a loss equals invariant_loss of
     the scalar estimate() on the same draw, on both kernel sides and with a
-    degenerate draw (replicate 1, zero Y). JS constants up to 4x the default
+    degenerate draw (replicate 1, zero Y). Chunks of two replicates put that
+    draw's chunk on the p x p fallback and, for n < p, the other two on the
+    solve side. JS constants up to 4x the default
     reach large shrinkage, where z ~ -a P_S x cancels, so the bound is scaled
     by q_zz + 2|a q_zp| + a^2 q_pp rather than by the loss, and by the kept
     spectrum's condition number, which the two kernels' F and P_S x carry."""
     p = 2 * half_p
-    thin_max = int(np.floor(linalg.THIN_SIDE_RATIO * p))
-    n = 3 + n_pick % (thin_max - 2) if side == "thin" else thin_max + 1 + n_pick % (p + 2 - thin_max)
+    n = 3 + n_pick % (p - 3) if side == "solve" else p + n_pick % 2
     c = shrink * js_default_constant(p, n)
     specs = [Usual(), JamesStein(c), PositivePartJS(c)]
     cfg = ScenarioConfig(
@@ -429,8 +432,10 @@ def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta
     )
     draw = _zero_y_of(randgen.batch_normal_wishart, 1)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(risk, "CHUNK", 2)
         mp.setattr(randgen, "batch_normal_wishart", draw)
         study = run_study(cfg, specs, cfg.theta_norms)
+    assert (study.chunks, study.fallback_chunks) == (3, int(side == "solve"))
     sigma = randgen.build_covariance(cov, p)
     sigma_inv = linalg.inv_pd(sigma)
     noise, y = draw(p, n, np.zeros(p), linalg.sym_sqrt_pd(sigma), seed, 0, cfg.replicates)
@@ -454,6 +459,51 @@ def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta
                 a = out.shrink_factor - 1.0
                 scale = q_zz + 2.0 * abs(a * q_zp) + a * a * q_pp
                 assert abs(study.losses[t, k, i] - want) <= 128.0 * eps * kappa * scale
+
+
+def _row_defect_of(draw, i, defect):
+    """batch_normal_wishart with replicate i's Y made rank-deficient: its last
+    row a duplicate of row 0, a near-duplicate far below the rank cutoff,
+    or every row zero."""
+
+    def drawn(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+        if start <= i < start + count:
+            yi = y[i - start]
+            if defect == "zero":
+                yi[:] = 0.0
+            else:
+                yi[-1] = yi[0] + (1e-9 * yi[1] if defect == "near" else 0.0)
+        return x, y
+
+    return drawn
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "near", "zero"])
+def test_rank_deficient_draw_falls_back_and_matches_scalar_estimate(monkeypatch, defect):
+    """One rank-deficient draw among full-rank ones puts its chunk, and only
+    that one, on the p x p side; every loss still matches invariant_loss of
+    the scalar estimate() on the same draw."""
+    monkeypatch.setattr(risk, "CHUNK", 4)
+    a = js_default_constant(6, 4)
+    specs = [Usual(), JamesStein(a), PositivePartJS(a)]
+    cfg = replace(SMALL, replicates=12, estimators=specs, theta_norms=[0.0, 3.0])
+    draw = _row_defect_of(randgen.batch_normal_wishart, 5, defect)
+    monkeypatch.setattr(randgen, "batch_normal_wishart", draw)
+    study = run_study(cfg, specs, cfg.theta_norms)
+    assert (study.chunks, study.fallback_chunks) == (3, 1)
+    assert np.array_equal(study.degenerate, [int(defect == "zero")] * 2)
+    sigma = randgen.build_covariance(cfg.cov, cfg.p)
+    sigma_inv = linalg.inv_pd(sigma)
+    noise, y = draw(cfg.p, cfg.n, np.zeros(cfg.p), linalg.sym_sqrt_pd(sigma), cfg.master_seed, 0, 12)
+    assert pinv_geometry(noise[5], y[5].T @ y[5]).pr.rank == (0 if defect == "zero" else 3)
+    for t, tn in enumerate(cfg.theta_norms):
+        theta = tn * cfg.theta_direction
+        for i in range(cfg.replicates):
+            x = theta + noise[i]
+            for k, spec in enumerate(specs):
+                want = invariant_loss(estimate(spec, x, y[i].T @ y[i]).delta, theta, sigma_inv)
+                assert study.losses[t, k, i] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------- risk table
@@ -506,16 +556,17 @@ def test_risk_curve_empty_estimators():
 @settings(deadline=None, max_examples=150)
 @given(
     p=st.integers(min_value=3, max_value=14),
-    side=st.sampled_from(["thin", "square"]),
+    side=st.sampled_from(["solve", "pxp"]),
     n_pick=st.integers(min_value=0, max_value=1000),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_batch_geometry_matches_scalar_pinv_geometry(p, side, n_pick, seed):
     """Mask, rank, F and P_S x of batch_geometry match pinv_geometry's per
     replicate, on both kernel sides. Entry 1 has x orthogonal to the rows
-    of Y (when n < p) and entry 2 a zero Y: both must be degenerate."""
-    thin_max = int(np.floor(linalg.THIN_SIDE_RATIO * p))
-    n = 1 + n_pick % thin_max if side == "thin" else thin_max + 1 + n_pick % (p + 2 - thin_max)
+    of Y (when n < p) and entry 2 a zero Y: both must be degenerate. The
+    zero Y puts the whole stack on the p x p side, so for n < p the stack
+    without it is checked as well, on the solve side."""
+    n = 1 + n_pick % (p - 1) if side == "solve" else p + n_pick % 2
     rng = np.random.default_rng(seed)
     y = rng.standard_normal((4, n, p))
     x = rng.standard_normal((4, p))
@@ -538,12 +589,16 @@ def test_batch_geometry_matches_scalar_pinv_geometry(p, side, n_pick, seed):
     assert degen[2] and ba.rank[2] == 0
     if n < p:
         assert degen[1]
-    for i in range(4):
-        g = pinv_geometry(x[i], s[i])
-        assert bool(degen[i]) == g.degenerate
-        assert ba.rank[i] == g.pr.rank
-        scale = max(1.0, float(np.linalg.norm(x[i])))
-        assert np.linalg.norm(ba.psx[i] - g.psx) <= tol * scale
-        # F = x'S+x is at most |x|^2 lambda_max(S+), its rounding scale; F far
-        # below that (x nearly orthogonal to the rows of Y) is all cancellation.
-        assert abs(ba.f[i] - g.f) <= tol * float(x[i] @ x[i]) * ba.lam_max_pinv[i]
+    stacks = [[0, 1, 2, 3]] + ([[0, 1, 3]] if n < p else [])
+    for rows in stacks:
+        assert (linalg.factor_stack(y[rows]).gram is not None) == (len(rows) == 3)
+        ba, degen = batch_geometry(x[rows], y[rows])
+        for j, i in enumerate(rows):
+            g = pinv_geometry(x[i], s[i])
+            assert bool(degen[j]) == g.degenerate
+            assert ba.rank[j] == g.pr.rank
+            scale = max(1.0, float(np.linalg.norm(x[i])))
+            assert np.linalg.norm(ba.psx[j] - g.psx) <= tol * scale
+            # F = x'S+x is at most |x|^2 lambda_max(S+), its rounding scale; F far
+            # below that (x nearly orthogonal to the rows of Y) is all cancellation.
+            assert abs(ba.f[j] - g.f) <= tol * float(x[i] @ x[i]) * ba.lam_max_pinv[j]
