@@ -12,80 +12,27 @@ column space of S, by a data-driven factor built from F = X'S+X. It ships
 - numerical oracles for every derivative and expectation identity the risk
   analysis rests on (`identities`),
 - a CLI (`mpshrink run`, `mpshrink verify`) driving both.
+
+The namespace holds what README and the demos use; the engines and kernels
+are imported from their modules (`mpshrink.risk.run_study`).
 """
 
 from .estimators import (
     Baranchik,
-    ConditionReport,
-    DegenerateFError,
-    DimensionCutoffError,
-    EstimateOutput,
     Estimator,
     JamesStein,
     PositivePartJS,
     ShrinkageFunction,
     Usual,
-    check_r_conditions,
-    constant_shrinkage,
     domination_bound,
     estimate,
     estimator_label,
     js_default_constant,
-    positive_part_shrinkage,
 )
-from .identities import (
-    IdentityReport,
-    RankDegenerateError,
-    div_x_identity,
-    finiteness_probe,
-    run_default_suite,
-    stein_haff_mc,
-    stein_identity_mc,
-    trace_grad_identity,
-)
-from .linalg import (
-    DimensionMismatchError,
-    EigenSolverError,
-    NotPositiveDefiniteError,
-    NotPositiveSemidefiniteError,
-    PseudoinverseResult,
-    SpectralDecomposition,
-    default_rel_tol,
-    inv_pd,
-    projectors,
-    pseudo_inverse,
-    pseudo_inverse_from_eigen,
-    quad_form,
-    sym_eigen,
-    sym_sqrt_pd,
-    symmetrize,
-)
-from .randgen import (
-    Autoregressive,
-    BlockDiagonal,
-    Custom,
-    Identity,
-    RngStream,
-    Spiked,
-    WishartDraw,
-    build_covariance,
-    cov_label,
-    sample_normal,
-    sample_wishart,
-)
-from .risk import (
-    ReplicateStudy,
-    RiskEstimate,
-    RiskRow,
-    ScenarioConfig,
-    default_theta_norms,
-    invariant_loss,
-    risk_curve,
-    run_replicates,
-    run_study,
-    summarize_losses,
-    unbiased_risk_difference,
-)
+from .identities import run_default_suite
+from .linalg import pseudo_inverse, quad_form, sym_eigen
+from .randgen import Autoregressive, BlockDiagonal, Identity, RngStream, Spiked, sample_wishart
+from .risk import ScenarioConfig, risk_curve
 
 __version__ = "0.1.0"
 
@@ -93,63 +40,23 @@ __all__ = [
     "Autoregressive",
     "Baranchik",
     "BlockDiagonal",
-    "ConditionReport",
-    "Custom",
-    "DegenerateFError",
-    "DimensionCutoffError",
-    "DimensionMismatchError",
-    "EigenSolverError",
-    "EstimateOutput",
     "Estimator",
     "Identity",
-    "IdentityReport",
     "JamesStein",
-    "NotPositiveDefiniteError",
-    "NotPositiveSemidefiniteError",
     "PositivePartJS",
-    "PseudoinverseResult",
-    "RankDegenerateError",
-    "ReplicateStudy",
-    "RiskEstimate",
-    "RiskRow",
     "RngStream",
     "ScenarioConfig",
     "ShrinkageFunction",
-    "SpectralDecomposition",
     "Spiked",
     "Usual",
-    "WishartDraw",
-    "build_covariance",
-    "check_r_conditions",
-    "constant_shrinkage",
-    "cov_label",
-    "default_rel_tol",
-    "default_theta_norms",
-    "div_x_identity",
     "domination_bound",
     "estimate",
     "estimator_label",
-    "finiteness_probe",
-    "inv_pd",
-    "invariant_loss",
     "js_default_constant",
-    "positive_part_shrinkage",
-    "projectors",
     "pseudo_inverse",
-    "pseudo_inverse_from_eigen",
     "quad_form",
     "risk_curve",
     "run_default_suite",
-    "run_replicates",
-    "run_study",
-    "sample_normal",
     "sample_wishart",
-    "stein_haff_mc",
-    "stein_identity_mc",
-    "summarize_losses",
     "sym_eigen",
-    "sym_sqrt_pd",
-    "symmetrize",
-    "trace_grad_identity",
-    "unbiased_risk_difference",
 ]

@@ -22,8 +22,8 @@ Scenario keys: p, n, cov, rho (ar/block only), estimators, theta_norms,
 theta_direction, replicates, seed. Estimator tokens are `usual`, `js` and
 `js+`, each optionally with an explicit constant as in `js:0.5` (the default
 constant is the midpoint of the admissible interval). Unknown keys,
-duplicate estimator labels and non-finite numbers are rejected with their
-line number.
+duplicate sections and estimator labels, and non-finite numbers are
+rejected with their line number.
 """
 
 from __future__ import annotations
@@ -250,6 +250,12 @@ def _build_scenario(name: str, name_line: int, keys: dict, defaults: dict) -> ri
 def parse_config(text: str) -> RunManifest:
     """Parse config text into a RunManifest; raises ConfigError on problems."""
     sections = _split_sections(text)
+    seen = set()
+    for name, line, _ in sections:
+        if name in seen:
+            what = "section" if name == "global" else "scenario name"
+            raise ConfigError(f"duplicate {what} '{name}'", line)
+        seen.add(name)
     defaults = {"master_seed": 0, "replicates": 10_000}
     manifest = RunManifest(scenarios=[])
     scenario_sections = []
@@ -273,11 +279,6 @@ def parse_config(text: str) -> RunManifest:
                 manifest.output_dir = keys["output_dir"][0]
         else:
             scenario_sections.append((name, line, keys))
-    seen = set()
-    for name, line, keys in scenario_sections:
-        if name in seen:
-            raise ConfigError(f"duplicate scenario name '{name}'", line)
-        seen.add(name)
     if not scenario_sections:
         raise ConfigError("config defines no scenarios")
     manifest.master_seed = defaults["master_seed"]

@@ -159,7 +159,7 @@ class PinvGeometry:
     degenerate: bool
 
 
-def pinv_geometry(x, s, rel_tol: float | None = None) -> PinvGeometry:
+def pinv_geometry(x, s) -> PinvGeometry:
     """Decompose s once and derive everything the scalar estimators need.
 
     lambda_max(S+) for the degeneracy rule is 1 / the smallest retained
@@ -173,7 +173,7 @@ def pinv_geometry(x, s, rel_tol: float | None = None) -> PinvGeometry:
         raise linalg.DimensionMismatchError(
             f"s is {dec.dim} x {dec.dim} but x has length {xv.size}"
         )
-    pr = linalg.pseudo_inverse_from_eigen(dec, rel_tol)
+    pr = linalg.pseudo_inverse_from_eigen(dec)
     spx = pr.pinv @ xv
     psx = pr.projector @ xv
     f = float(xv @ spx)
@@ -200,15 +200,15 @@ class EstimateOutput:
     degenerate: bool = False
 
 
-def estimate(spec: Estimator, x, s, rel_tol: float | None = None) -> EstimateOutput:
+def estimate(spec: Estimator, x, s) -> EstimateOutput:
     """Evaluate an estimator at observation x with Wishart matrix s.
 
     s must be symmetric PSD; its pseudoinverse, rank and projector come from
-    linalg.pseudo_inverse with the given cutoff. F at or below the degeneracy
-    threshold returns x unshrunk with degenerate=True; a curve with
-    value_bound 0 never shrinks, so it returns x and is never degenerate.
+    linalg.pseudo_inverse. F at or below the degeneracy threshold returns x
+    unshrunk with degenerate=True; a curve with value_bound 0 never shrinks,
+    so it returns x and is never degenerate.
     """
-    g = pinv_geometry(x, s, rel_tol)
+    g = pinv_geometry(x, s)
     shrinks = spec.r.value_bound > 0
     if g.degenerate or not shrinks:
         return EstimateOutput(g.x.copy(), 1.0, g.f, g.pr.rank, g.degenerate and shrinks)

@@ -29,9 +29,15 @@ from .estimators import (
 # Central-difference step: h = FD_STEP_SCALE * max(1, |coordinate|).
 FD_STEP_SCALE = 1e-5
 
+# Relative error at which a finite-difference identity check passes.
+FD_TOLERANCE = 1e-5
+
 # MC identity checks pass at 3 combined standard errors, but never demand
 # agreement finer than this absolute floor.
 MC_ABS_FLOOR = 1e-3
+
+# Fewest replicates a Monte-Carlo identity (stein, stein_haff) runs on.
+MC_MIN_REPLICATES = 1000
 
 
 class RankDegenerateError(ValueError):
@@ -299,9 +305,7 @@ def _div_form(rf, rdf, f, m):
     return 2.0 * rdf + rf * (m - 2.0) / f
 
 
-def trace_grad_identity(
-    x, y, r: ShrinkageFunction, tolerance: float = 1e-5
-) -> IdentityReport:
+def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
     """tr(Y' grad_Y [r(F)^2 SS+ x x' S+ / F^2]) against its closed form.
 
         analytic = -4 r(F) r'(F) + r(F)^2 (p - 2m + 3) / F,  m = min(n, p)
@@ -330,10 +334,10 @@ def trace_grad_identity(
     for alpha in range(n):
         for beta in range(p):
             oracle += float(yv[alpha] @ d[alpha, beta, beta])
-    return _report("trace_grad", analytic, oracle, tolerance)
+    return _report("trace_grad", analytic, oracle, FD_TOLERANCE)
 
 
-def div_x_identity(x, s, r: ShrinkageFunction, tolerance: float = 1e-5) -> IdentityReport:
+def div_x_identity(x, s, r: ShrinkageFunction) -> IdentityReport:
     """div_x [r(F) SS+ x / F] against 2 r'(F) + r(F) (m - 2) / F.
 
     S stays fixed; the oracle sums central differences of each component of
@@ -357,7 +361,7 @@ def div_x_identity(x, s, r: ShrinkageFunction, tolerance: float = 1e-5) -> Ident
         vm = xv.copy()
         vm[i] -= h
         oracle += float((field(vp)[i] - field(vm)[i]) / (2.0 * h))
-    return _report("div_x", analytic, oracle, tolerance)
+    return _report("div_x", analytic, oracle, FD_TOLERANCE)
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +418,7 @@ def stein_identity_mc(
     divergence side uses the closed form; both sides are averaged and
     compared at 3 combined standard errors.
     """
-    t, sqrt_sigma, sigma_inv = _mc_setup(replicates, 1000, n, sigma, theta)
+    t, sqrt_sigma, sigma_inv = _mc_setup(replicates, MC_MIN_REPLICATES, n, sigma, theta)
     r = spec.r
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
@@ -488,7 +492,7 @@ def stein_haff_mc(
     (R, p, p) stack of G and the (R,) analytic gradient traces.
     """
     p = linalg.symmetrize(sigma).shape[0]
-    _, sqrt_sigma, sigma_inv = _mc_setup(replicates, 1000, n, sigma, np.zeros(p))
+    _, sqrt_sigma, sigma_inv = _mc_setup(replicates, MC_MIN_REPLICATES, n, sigma, np.zeros(p))
     lhs = np.empty(replicates)
     rhs = np.empty(replicates)
 
@@ -555,28 +559,20 @@ def finiteness_probe(
     r: ShrinkageFunction | None = None,
     replicates: int = 10_000,
     seed: int = 0,
-    theta=None,
-    x_scale: float = 1.0,
 ) -> FinitenessSummary:
-    """Sample 1/F = 1/(X'S+X) and summarize its tail.
+    """Sample 1/F = 1/(X'S+X) at theta = 0 and summarize its tail.
 
     When r is given, also summarizes |(n + p - m + 3) r(F)^2/F - 4 r r'|,
     the divergence-size integrand whose expectation the moment conditions
-    keep finite. x_scale rescales X only (1/F then scales by 1/x_scale^2
-    replicate for replicate, a useful coupling check); it must be finite
-    and nonzero.
+    keep finite.
     """
-    t, sqrt_sigma, _ = _mc_setup(replicates, 1, n, sigma, np.zeros(p) if theta is None else theta)
-    if t.size != p:
-        raise linalg.DimensionMismatchError(f"theta has length {t.size}, expected p={p}")
-    if not (math.isfinite(x_scale) and x_scale != 0.0):
-        raise ValueError(f"x_scale must be finite and nonzero, got {x_scale}")
+    t, sqrt_sigma, _ = _mc_setup(replicates, 1, n, sigma, np.zeros(p))
     inv_f = np.empty(replicates)
     div = np.empty(replicates) if r is not None else None
 
     def body(start: int, stop: int) -> None:
         x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, stop - start)
-        ba = linalg.batch_pinv_factor(y, x_scale * x)
+        ba = linalg.batch_pinv_factor(y, x)
         with np.errstate(divide="ignore"):
             inv_f[start:stop] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
         if r is not None:
@@ -601,20 +597,18 @@ def finiteness_probe(
 FD_GRID = ((5, 3), (6, 4), (4, 6), (5, 5))
 MC_GRID = ((5, 3), (3, 5))
 
+# sample_identity_config's rejection bounds and its number of draws.
+CONFIG_MIN_F = 1e-6
+CONFIG_MIN_GAP = 1e-6
+CONFIG_MAX_TRIES = 1000
 
-def sample_identity_config(
-    p: int,
-    n: int,
-    rng,
-    min_f: float = 1e-6,
-    min_gap: float = 1e-6,
-    max_tries: int = 1000,
-) -> tuple[np.ndarray, np.ndarray]:
+
+def sample_identity_config(p: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     """Random (x, Y) pair kept comfortably away from rank degeneracy.
 
     Draws standard-normal entries and rejects configurations whose F falls
-    below min_f or whose spectral gap at the rank cutoff falls below
-    min_gap * max(lambda_max, 1), where the constant-rank derivative
+    below CONFIG_MIN_F or whose spectral gap at the rank cutoff falls below
+    CONFIG_MIN_GAP * max(lambda_max, 1), where the constant-rank derivative
     formulas stop being testable by finite differences. The gap threshold
     is relative because square factors routinely draw a smallest retained
     eigenvalue orders of magnitude under the leading one, and a central
@@ -623,18 +617,18 @@ def sample_identity_config(
     """
     g = randgen._as_generator(rng)
     k = min(n, p)
-    for _ in range(max_tries):
+    for _ in range(CONFIG_MAX_TRIES):
         x = g.standard_normal(p)
         y = g.standard_normal((n, p))
         s = y.T @ y
         w = np.linalg.eigvalsh((s + s.T) / 2.0)[::-1]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
-        if gap < min_gap * max(w[0], 1.0):
+        if gap < CONFIG_MIN_GAP * max(w[0], 1.0):
             continue
-        if float(x @ (_pinv_locked(y, k).pinv @ x)) < min_f:
+        if float(x @ (_pinv_locked(y, k).pinv @ x)) < CONFIG_MIN_F:
             continue
         return x, y
-    raise RuntimeError(f"no acceptable (x, Y) configuration in {max_tries} draws")
+    raise RuntimeError(f"no acceptable (x, Y) configuration in {CONFIG_MAX_TRIES} draws")
 
 
 def _smooth_suite_r() -> ShrinkageFunction:
@@ -683,18 +677,18 @@ def _fd_sweep(
 
 def _ds_dy_checks(x, y, r) -> list[IdentityReport]:
     fd = _central_diff_stack(_gram, y)
-    return [_report("ds_dy", ds_dy(y, a, b), fd[a, b], 1e-5) for a, b in np.ndindex(y.shape)]
+    return [_report("ds_dy", ds_dy(y, a, b), fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
 
 
 def _df_dy_checks(x, y, r) -> list[IdentityReport]:
-    return [_report("df_dy", df_dy_matrix(x, y), _stacked_fd_df_dy(x, y), 1e-5)]
+    return [_report("df_dy", df_dy_matrix(x, y), _stacked_fd_df_dy(x, y), FD_TOLERANCE)]
 
 
 def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
     geo, _ = _locked_geometry(y)
     fd = _stacked_fd_dm_dy(x, y)
     return [
-        _report("dm_dy", _dm_dy_at(x, y, geo, a, b), fd[a, b], 1e-5)
+        _report("dm_dy", _dm_dy_at(x, y, geo, a, b), fd[a, b], FD_TOLERANCE)
         for a, b in np.ndindex(y.shape)
     ]
 
@@ -788,13 +782,16 @@ def run_default_suite(
     Finite-difference identities sweep fd_configs (at least 1) random
     configurations per (p, n) in FD_GRID and report the worst case; the
     stein and stein_haff Monte-Carlo identities run on MC_GRID at
-    mc_replicates. The finiteness probe has a fixed size, 10 000 replicates
-    at each of two shapes, whatever mc_replicates is. `only` restricts to a
-    single name.
+    mc_replicates (at least MC_MIN_REPLICATES, checked before any identity
+    runs, whichever `only` names). The finiteness probe has a fixed size,
+    10 000 replicates at each of two shapes, whatever mc_replicates is.
+    `only` restricts to a single name.
     """
     if only is not None and only not in _SUITE:
         raise ValueError(f"unknown identity {only!r}; choose from {', '.join(SUITE_NAMES)}")
     if fd_configs < 1:
         raise ValueError(f"fd_configs must be at least 1, got {fd_configs}")
+    if mc_replicates < MC_MIN_REPLICATES:
+        raise ValueError(f"replicates must be at least {MC_MIN_REPLICATES}, got {mc_replicates}")
     wanted = [only] if only else SUITE_NAMES
     return [_SUITE[name](seed, fd_configs, mc_replicates) for name in wanted]

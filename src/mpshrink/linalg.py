@@ -44,7 +44,8 @@ class EigenSolverError(RuntimeError):
 
 
 def default_rel_tol(p: int) -> float:
-    """Relative eigenvalue cutoff used to decide numerical rank.
+    """The relative eigenvalue cutoff that decides numerical rank for a
+    p x p S, in every pseudoinverse of the package; no call overrides it.
 
     Wishart draws from a positive definite covariance have generic rank
     min(n, p), so the cutoff only has to absorb floating-point noise; it is
@@ -114,18 +115,18 @@ class PseudoinverseResult:
     cutoff: float
 
 
-def pseudo_inverse(m, rel_tol: float | None = None) -> PseudoinverseResult:
+def pseudo_inverse(m) -> PseudoinverseResult:
     """Moore-Penrose inverse of a symmetric PSD matrix via its spectrum.
 
-    Eigenvalues at or below rel_tol * max(eigenvalue) are treated as exact
-    zeros. rel_tol defaults to default_rel_tol(p). Raises
-    NotPositiveSemidefiniteError when an eigenvalue sits below the PSD slack.
+    Eigenvalues at or below default_rel_tol(p) * max(eigenvalue) are treated
+    as exact zeros. Raises NotPositiveSemidefiniteError when an eigenvalue
+    sits below the PSD slack.
     """
-    return pseudo_inverse_from_eigen(sym_eigen(m), rel_tol)
+    return pseudo_inverse_from_eigen(sym_eigen(m))
 
 
 def pseudo_inverse_from_eigen(
-    dec: SpectralDecomposition, rel_tol: float | None = None, rank: int | None = None
+    dec: SpectralDecomposition, rank: int | None = None
 ) -> PseudoinverseResult:
     """pseudo_inverse for a matrix whose decomposition is already at hand.
 
@@ -136,16 +137,12 @@ def pseudo_inverse_from_eigen(
     w = dec.eigenvalues
     v = dec.eigenvectors
     p = w.size
-    if rel_tol is None:
-        rel_tol = default_rel_tol(p)
-    if not 0.0 < rel_tol < 1.0:
-        raise ValueError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     lam_max = w[0]
     if w[-1] < -PSD_SLACK * lam_max:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {w[-1]:.6e} below -{PSD_SLACK:g} * {lam_max:.6e}"
         )
-    cutoff = rel_tol * max(lam_max, 0.0)
+    cutoff = default_rel_tol(p) * max(lam_max, 0.0)
     # Descending order makes the retained set a prefix.
     if rank is None:
         rank = int(np.count_nonzero(w > cutoff))
@@ -188,9 +185,9 @@ def quad_form(x, m) -> float:
     return float(xv @ a @ xv)
 
 
-def projectors(m, rel_tol: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+def projectors(m) -> tuple[np.ndarray, np.ndarray]:
     """(P, I - P) with P the orthogonal projector onto the column space of M."""
-    pr = pseudo_inverse(m, rel_tol)
+    pr = pseudo_inverse(m)
     return pr.projector, pr.complement
 
 
@@ -278,7 +275,8 @@ def _sym_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _batch_spectrum(a: np.ndarray, rel_tol: float, vectors: bool = True):
     """eigh (eigvalsh without vectors) of a symmetric PSD stack plus the
-    pseudo_inverse cutoff rule: the eigenvalues and eigenvectors (ascending;
+    pseudo_inverse cutoff rule at rel_tol, default_rel_tol of S's dimension
+    (on the solve side not G's): the eigenvalues and eigenvectors (ascending;
     None without vectors), the kept-eigenvalue mask, the ranks and lambda_max
     of each pseudoinverse. Raises on a non-converged solve or an eigenvalue
     below the PSD slack, naming the stack entry."""
@@ -301,21 +299,20 @@ def _batch_spectrum(a: np.ndarray, rel_tol: float, vectors: bool = True):
     return w, v, keep, rank, lam_max_pinv
 
 
-def _square_factor(s: np.ndarray, rel_tol: float | None) -> PinvFactor:
+def _square_factor(s: np.ndarray) -> PinvFactor:
     check_finite(s, "S")
-    rel_tol = default_rel_tol(s.shape[1]) if rel_tol is None else rel_tol
-    w, v, keep, rank, lam_max_pinv = _batch_spectrum(s, rel_tol)
+    w, v, keep, rank, lam_max_pinv = _batch_spectrum(s, default_rel_tol(s.shape[1]))
     inv_w = np.where(keep, 1.0 / np.where(keep, w, 1.0), 0.0)
     return PinvFactor(rank, lam_max_pinv, vectors=v, keep=keep, inv_w=inv_w)
 
 
-def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
+def factor_stack(y_stack) -> PinvFactor:
     """Factor S_i = Y_i'Y_i for repeated apply_factor calls.
 
     y_stack has shape (R, n, p). For n < p the nonzero spectrum of S is
     that of G = YY' (n x n, symmetrised), whose eigenvalues alone fix the
-    ranks and lambda_max(S+) under the p x p cutoff rule (rel_tol *
-    lambda_max, rel_tol defaulting to default_rel_tol(p)). When every entry
+    ranks and lambda_max(S+) under the p x p cutoff rule
+    (default_rel_tol(p) * lambda_max). When every entry
     has rank n, S+ = Y'G^-2 Y and the factor keeps G for linear solves.
     Otherwise, and always for n >= p, the whole stack takes the p x p side:
     S = Y'Y symmetrised and eigendecomposed. A non-finite Gram matrix is
@@ -325,20 +322,19 @@ def factor_stack(y_stack, rel_tol: float | None = None) -> PinvFactor:
     if y.ndim != 3:
         raise DimensionMismatchError(f"expected a (R, n, p) stack, got shape {y.shape}")
     _, n, p = y.shape
-    rel_tol = default_rel_tol(p) if rel_tol is None else rel_tol
     yt = y.transpose(0, 2, 1)
     if n < p:
         g = _sym_product(y, yt)
         # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
         check_finite(g, "YY'")
-        _, _, _, rank, lam_max_pinv = _batch_spectrum(g, rel_tol, vectors=False)
+        _, _, _, rank, lam_max_pinv = _batch_spectrum(g, default_rel_tol(p), vectors=False)
         if np.all(rank == n):
             # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
             # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
             # t ~ |Y|_F = sqrt(tr G) is exact.
             t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
             return PinvFactor(rank, lam_max_pinv, gram=g, y=y, scale=t)
-    return _square_factor(_sym_product(yt, y), rel_tol)
+    return _square_factor(_sym_product(yt, y))
 
 
 def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
@@ -395,7 +391,7 @@ def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
     return BatchPinvApply(f_from_coords(factor, c), factor.rank, psx, spx, factor.lam_max_pinv)
 
 
-def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
+def batch_pinv_apply(s_stack, x_stack) -> BatchPinvApply:
     """Vectorized x' S+ x, P_S x and S+ x over stacked symmetric PSD matrices.
 
     s_stack has shape (R, p, p) and must already be symmetric; x_stack has
@@ -406,10 +402,10 @@ def batch_pinv_apply(s_stack, x_stack, rel_tol: float | None = None) -> BatchPin
     s = np.asarray(s_stack, dtype=float)
     if s.ndim != 3 or s.shape[1] != s.shape[2]:
         raise DimensionMismatchError(f"expected a (R, p, p) stack, got shape {s.shape}")
-    return apply_factor(_square_factor(s, rel_tol), x_stack)
+    return apply_factor(_square_factor(s), x_stack)
 
 
-def batch_pinv_factor(y_stack, x_stack, rel_tol: float | None = None) -> BatchPinvApply:
+def batch_pinv_factor(y_stack, x_stack) -> BatchPinvApply:
     """batch_pinv_apply for S_i = Y_i'Y_i without forming S when n < p:
-    factor_stack(y_stack, rel_tol), then apply_factor with x_stack (R, p)."""
-    return apply_factor(factor_stack(y_stack, rel_tol), x_stack)
+    factor_stack(y_stack), then apply_factor with x_stack (R, p)."""
+    return apply_factor(factor_stack(y_stack), x_stack)

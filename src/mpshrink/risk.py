@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -70,9 +70,7 @@ def _risk_difference(r: ShrinkageFunction, f, m, p: int, n: int):
     return rf * rf * (n + p - 2.0 * m + 3.0) / f - 2.0 * rf * (m - 2.0) / f - 4.0 * rdf * (1.0 + rf)
 
 
-def unbiased_risk_difference(
-    x, s, r: ShrinkageFunction, n: int, rel_tol: float | None = None
-) -> float:
+def unbiased_risk_difference(x, s, r: ShrinkageFunction, n: int) -> float:
     """Integrand whose expectation is risk(delta_r) - p.
 
         rho = r(F)^2 (n + p - 2m + 3)/F - 2 r(F) (m - 2)/F - 4 r'(F) (1 + r(F))
@@ -83,16 +81,16 @@ def unbiased_risk_difference(
     """
     if n < 1:
         raise ValueError(f"degrees of freedom must be positive, got n={n}")
-    g = pinv_geometry(x, s, rel_tol)
+    g = pinv_geometry(x, s)
     if g.degenerate:
         raise DegenerateFError(f"F = {g.f:.6e} is degenerate; no risk-difference value")
     return float(_risk_difference(r, g.f, float(g.pr.rank), g.x.size, n))
 
 
-def batch_geometry(x, y, rel_tol: float | None = None) -> tuple[linalg.BatchPinvApply, np.ndarray]:
-    """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x,
-    rel_tol) and the (R,) f_degenerate mask, the rule every engine applies."""
-    ba = linalg.batch_pinv_factor(y, x, rel_tol)
+def batch_geometry(x, y) -> tuple[linalg.BatchPinvApply, np.ndarray]:
+    """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x) and
+    the (R,) f_degenerate mask, the rule every engine applies."""
+    ba = linalg.batch_pinv_factor(y, x)
     return ba, _degenerate(x, ba.f, ba.psx, ba.rank, ba.lam_max_pinv)
 
 
@@ -112,7 +110,6 @@ class RiskEstimate:
     mean_loss: float
     std_error: float
     replicates: int
-    losses: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -215,7 +212,6 @@ def run_study(
     sqrt_sigma = linalg.sym_sqrt_pd(sigma)
     sigma_inv = linalg.inv_pd(sigma)
     norms = [float(tn) for tn in theta_norms]
-    rel_tol = linalg.default_rel_tol(cfg.p)
     total = cfg.replicates
     losses = np.empty((len(norms), len(specs), total))
     sure = np.empty((len(norms), total)) if sure_r is not None else None
@@ -227,7 +223,7 @@ def run_study(
         noise, y = randgen.batch_normal_wishart(
             cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, stop - start
         )
-        factor = linalg.factor_stack(y, rel_tol)
+        factor = linalg.factor_stack(y)
         if factor.gram is None and cfg.n < cfg.p:
             fallbacks.append(start)
         # z and u go through the factor together: one solve, two right-hand sides.
@@ -288,16 +284,11 @@ def run_replicates(
     )
 
 
-def summarize_losses(arr: np.ndarray, keep_losses: bool = False) -> RiskEstimate:
+def summarize_losses(arr: np.ndarray) -> RiskEstimate:
     """Mean and standard error of a replicate-ordered loss array."""
     reps = arr.size
     se = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return RiskEstimate(
-        mean_loss=float(arr.mean()),
-        std_error=se,
-        replicates=reps,
-        losses=arr if keep_losses else None,
-    )
+    return RiskEstimate(mean_loss=float(arr.mean()), std_error=se, replicates=reps)
 
 
 @dataclass(frozen=True)

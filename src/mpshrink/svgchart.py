@@ -10,6 +10,8 @@ from html import escape
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b"]
 
+_WIDTH = 720
+_HEIGHT = 480
 _MARGIN_LEFT = 64
 _MARGIN_RIGHT = 18
 _MARGIN_TOP = 38
@@ -46,10 +48,8 @@ def line_chart(
     ylabel: str = "",
     ref_y: float | None = None,
     ref_label: str = "",
-    width: int = 720,
-    height: int = 480,
 ) -> str:
-    """Render labeled (xs, ys) series as an SVG document string.
+    """Render labeled (xs, ys) series as a _WIDTH x _HEIGHT SVG document string.
 
     ref_y draws a dashed horizontal reference line (e.g. the risk of the
     unshrunk estimator). Series colors cycle through a fixed palette.
@@ -70,8 +70,8 @@ def line_chart(
     y_lo -= pad
     y_hi += pad
 
-    plot_w = width - _MARGIN_LEFT - _MARGIN_RIGHT
-    plot_h = height - _MARGIN_TOP - _MARGIN_BOTTOM
+    plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
+    plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
 
     def px(x: float) -> float:
         return _MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -80,13 +80,13 @@ def line_chart(
         return _MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
         parts.append(
-            f'<text x="{width / 2:.0f}" y="22" text-anchor="middle" '
+            f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222">{escape(title)}</text>'
         )
     # axes
@@ -122,7 +122,7 @@ def line_chart(
         )
     if xlabel:
         parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{height - 12}" text-anchor="middle" '
+            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
             f'font-family="sans-serif" font-size="12" fill="#222">{escape(xlabel)}</text>'
         )
     if ylabel:

@@ -153,6 +153,15 @@ def test_parse_duplicate_scenario():
     )
 
 
+def test_parse_duplicate_global_section():
+    # A second [global] would otherwise override the first one's keys.
+    expect_error(
+        "[global]\nmaster_seed = 1\n[s]\np = 4\nn = 3\ncov = identity\n[global]\nmaster_seed = 2\n",
+        "duplicate section 'global'",
+        line=7,
+    )
+
+
 def test_parse_malformed_section():
     expect_error("[bad name]\np = 4\n", "malformed section header", line=1)
 
@@ -391,6 +400,13 @@ def test_verify_single_identity_timing_line(capsys):
 def test_verify_unknown_name(capsys):
     assert verify(only="nope") == 2
     assert "unknown identity" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("only", [None, "ds_dy"])
+def test_verify_rejects_too_few_replicates_before_any_identity(only, capsys):
+    assert main(["verify", "--replicates", "10", "--configs", "1"] + (["--only", only] if only else [])) == 2
+    err = capsys.readouterr().err
+    assert err == "error: replicates must be at least 1000, got 10\n"
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):

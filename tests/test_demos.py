@@ -1,10 +1,12 @@
-"""The demo scripts run to completion against the package in src/.
+"""The demo scripts and README's Python blocks run to completion against
+the package in src/.
 
-Each runs from a copy in a temporary directory, because risk_simulation.py
-writes its SVG next to itself.
+Each demo runs from a copy in a temporary directory, because
+risk_simulation.py writes its SVG next to itself.
 """
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,9 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+README_BLOCKS = re.findall(
+    r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S
+)
 
 
 def test_all_four_demos_found():
@@ -40,3 +45,20 @@ def test_demo_runs(demo, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
+
+
+def test_readme_python_blocks_found():
+    assert len(README_BLOCKS) == 2
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_block_runs(block):
+    exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_every_public_name_resolves():
+    import mpshrink
+
+    assert len(mpshrink.__all__) == len(set(mpshrink.__all__)) == 22
+    for name in mpshrink.__all__:
+        assert getattr(mpshrink, name) is not None, name

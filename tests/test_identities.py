@@ -5,9 +5,11 @@ from hypothesis import strategies as st
 
 from mpshrink import linalg
 from mpshrink.estimators import Baranchik, constant_shrinkage, positive_part_shrinkage
+from mpshrink import identities
 from mpshrink.identities import (
     FD_GRID,
     MC_GRID,
+    MC_MIN_REPLICATES,
     SUITE_NAMES,
     IdentityReport,
     RankDegenerateError,
@@ -404,33 +406,17 @@ def test_finiteness_probe_without_curve():
     assert summary.all_finite
 
 
-def test_finiteness_probe_x_scale_coupling():
-    # X -> 10 X leaves S alone, so 1/F shrinks by exactly 1/100 draw by draw
-    base = finiteness_probe(5, 3, np.eye(5), replicates=500, seed=9)
-    scaled = finiteness_probe(5, 3, np.eye(5), replicates=500, seed=9, x_scale=10.0)
-    assert scaled.inv_f.mean == pytest.approx(base.inv_f.mean / 100.0, rel=1e-12)
-    assert scaled.inv_f.maximum == pytest.approx(base.inv_f.maximum / 100.0, rel=1e-12)
-
-
 def test_finiteness_probe_validation():
     with pytest.raises(ValueError):
         finiteness_probe(5, 3, np.eye(5), replicates=0)
     with pytest.raises(linalg.DimensionMismatchError):
         finiteness_probe(5, 3, np.eye(4))
-    with pytest.raises(linalg.DimensionMismatchError):
-        finiteness_probe(5, 3, np.eye(5), theta=np.zeros(4))
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_finiteness_probe_rejects_nonpositive_n(n):
     with pytest.raises(ValueError, match=f"degrees of freedom must be positive, got n={n}"):
         finiteness_probe(5, n, np.eye(5), replicates=100)
-
-
-@pytest.mark.parametrize("x_scale", [0.0, float("inf"), float("nan")])
-def test_finiteness_probe_rejects_zero_or_nonfinite_x_scale(x_scale):
-    with pytest.raises(ValueError, match="x_scale must be finite and nonzero"):
-        finiteness_probe(5, 3, np.eye(5), replicates=100, x_scale=x_scale)
 
 
 def test_summary_stats_quantiles():
@@ -489,6 +475,16 @@ def test_run_default_suite_only_filter():
     assert reports[0].tolerance == 1e-12
     with pytest.raises(ValueError):
         run_default_suite(only="nonsense")
+
+
+@pytest.mark.parametrize("only", [None, "ds_dy"])
+def test_run_default_suite_checks_the_replicate_floor_before_any_identity(only, monkeypatch):
+    calls = []
+    monkeypatch.setattr(identities, "_SUITE", {name: lambda *a: calls.append(a) for name in SUITE_NAMES})
+    few = MC_MIN_REPLICATES - 1
+    with pytest.raises(ValueError, match=f"replicates must be at least {MC_MIN_REPLICATES}, got {few}"):
+        run_default_suite(only=only, fd_configs=1, mc_replicates=few)
+    assert calls == []
 
 
 def test_mc_grid_is_the_three_by_five_pair():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mpshrink.estimators import f_degenerate
+from mpshrink.estimators import f_degenerate, pinv_geometry
 from mpshrink.linalg import (
     MAX_DIM,
     BatchPinvApply,
@@ -115,10 +115,30 @@ def test_pseudo_inverse_accepts_tiny_negative_noise():
     assert res.rank == 1
 
 
-def test_pseudo_inverse_rel_tol_validation():
-    for bad in (0.0, 1.0, -0.5, 2.0):
-        with pytest.raises(ValueError):
-            pseudo_inverse(np.eye(3), rel_tol=bad)
+@pytest.mark.parametrize("edge", [1.0 + 1e-3, 1.0 - 1e-3], ids=["above", "below"])
+@pytest.mark.parametrize("n", [15, 6], ids=["square-side", "solve-side"])
+def test_one_cutoff_at_its_edge(n, edge):
+    # Y = U diag(sigma) V' puts the smallest nonzero eigenvalue of S = Y'Y
+    # (and of G = YY') a hair above or below default_rel_tol(p) * lambda_max.
+    # The scalar path, pinv_geometry and both sides of factor_stack must all
+    # draw the line there; on the solve side the cutoff belongs to p, not n.
+    p, count = 12, 4
+    k = min(n, p)
+    rng = np.random.default_rng(5)
+    sigma_sq = np.linspace(1.0, 0.5, k)
+    sigma_sq[-1] = edge * default_rel_tol(p)
+    ys = []
+    for _ in range(count):
+        u, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, k)))
+        ys.append((u * np.sqrt(sigma_sq)) @ v.T)
+    factor = factor_stack(np.array(ys))
+    expected = k if edge > 1.0 else k - 1
+    assert factor.rank.tolist() == [expected] * count
+    for y in ys:
+        s = symmetrize(y.T @ y)
+        assert pseudo_inverse(s).rank == expected
+        assert pinv_geometry(rng.standard_normal(p), s).pr.rank == expected
 
 
 def test_pseudo_inverse_from_eigen_matches_direct():

@@ -190,7 +190,6 @@ def test_summarize_losses():
     est = summarize_losses(np.array([1.0, 2.0, 3.0]))
     assert est.mean_loss == 2.0
     assert est.std_error == pytest.approx(1.0 / math.sqrt(3.0))
-    assert est.losses is None
     single = summarize_losses(np.array([4.0]))
     assert single.std_error == 0.0
 
@@ -277,13 +276,6 @@ def test_james_stein_beats_usual_at_origin():
     js = summarize_losses(study.losses[1])
     gap_se = math.sqrt(usual.std_error**2 + js.std_error**2)
     assert js.mean_loss < usual.mean_loss - 3.0 * gap_se
-
-
-def test_summarize_losses_keep_losses():
-    study = run_replicates(SMALL, [JamesStein(0.5)], theta_norm=0.0)
-    est = summarize_losses(study.losses[0], keep_losses=True)
-    assert est.losses is not None and est.losses.shape == (64,)
-    assert est.mean_loss == pytest.approx(est.losses.mean())
 
 
 def test_sure_tracks_actual_risk_gap():
