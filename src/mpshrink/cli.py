@@ -334,7 +334,8 @@ def run(
 
     Returns 0 on success, after one stderr line per scenario with its wall
     time, replicates per second, degenerate draws summed over theta and, for
-    n < p, how many chunks took the p x p fallback of the solve kernel. A
+    n < p, how many chunks failed the full-rank certificate and so needed
+    eigvalsh, and how many took the p x p fallback of the solve kernel. A
     failing scenario writes a one-line JSON error record to stderr and the
     exit code becomes 1; remaining scenarios still run. jobs only changes
     scheduling, never output bytes.
@@ -368,7 +369,11 @@ def run(
         degenerate = sum(r.degenerate for r in rows if r.estimator == rows[0].estimator)
         fallback = ""
         if rows and cfg.n < cfg.p:
-            fallback = f", {rows[0].fallback_chunks} of {rows[0].chunks} chunks on the p x p fallback"
+            row = rows[0]
+            fallback = (
+                f", {row.eigvalsh_chunks} of {row.chunks} chunks needed eigvalsh, "
+                f"{row.fallback_chunks} took the p x p fallback"
+            )
         sys.stderr.write(
             f"{cfg.name}: wrote {cfg.name}.csv ({len(rows)} rows) in {elapsed:.2f} s, "
             f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws{fallback}\n"

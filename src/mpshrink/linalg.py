@@ -2,7 +2,8 @@
 pseudoinversion with an explicit rank cutoff, range/null projectors,
 quadratic forms, and the batched pseudoinverse of S = Y'Y that the
 Monte-Carlo engines use: linear solves in G = YY' when every G in a stack
-has full rank n < p, an eigendecomposition of S otherwise.
+has full rank n < p (certified by one shifted Cholesky, or failing that
+by eigvalsh), an eigendecomposition of S otherwise.
 
 Everything works on plain float64 arrays. Matrices are symmetrized on entry
 because products accumulated in floating point drift off symmetry, and the
@@ -11,7 +12,7 @@ downstream formulas all assume an exactly symmetric operand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +22,9 @@ MAX_DIM = 512
 # A symmetric PSD input may carry eigenvalues this far below zero from
 # floating-point noise before it is rejected.
 PSD_SLACK = 1e-8
+
+# Stack-sized temporaries are built this many entries at a time.
+SLAB = 256
 
 
 class DimensionMismatchError(ValueError):
@@ -222,37 +226,59 @@ class BatchPinvApply:
     """Pseudoinverse-applied quantities for a stack of (S_i, x_i) pairs.
 
     Holds F_i = x_i' S_i+ x_i, the numerical ranks, P_S x_i and S_i+ x_i,
-    and the largest eigenvalue of each S_i+ (1 / smallest retained
-    eigenvalue). The pseudoinverses themselves are never formed.
+    and the factor they came from, whose lam_max_pinv is the largest
+    eigenvalue of each S_i+ (1 / smallest retained eigenvalue). The
+    pseudoinverses themselves are never formed.
     """
 
     f: np.ndarray
     rank: np.ndarray
     psx: np.ndarray
     spx: np.ndarray
-    lam_max_pinv: np.ndarray
+    factor: PinvFactor
+
+    @property
+    def lam_max_pinv(self) -> np.ndarray:
+        return self.factor.lam_max_pinv
 
 
 @dataclass(eq=False)
 class PinvFactor:
     """The x-independent half of the batched pseudoinverse for a stack of
-    S_i = Y_i'Y_i. rank and lam_max_pinv are the cutoff rule's outputs.
+    S_i = Y_i'Y_i. rank is the cutoff rule's output and lam_bound an upper
+    bound on each lambda_max(S_i+).
 
     On the solve side (n < p, every entry of rank n) gram holds G_i = Y_i Y_i',
     y the Y_i and scale the power of two t_i that apply_factor carries
-    G^-1 (t d) by. On the p x p side vectors are S_i's eigenvectors
-    (ascending order), keep the kept-eigenvalue mask and inv_w 1/w on the
-    kept eigenvalues (0 elsewhere).
+    G^-1 (t d) by. certified marks a solve-side factor whose full rank the
+    shifted Cholesky of factor_stack proved: there lam_bound is that
+    certificate's bound, and the exact lambda_max(S+) = 1/lambda_min(G)
+    comes from eigvalsh(G) on first read of lam_max_pinv. Everywhere else
+    lam_bound is the exact value. On the p x p side vectors are S_i's
+    eigenvectors (ascending order), keep the kept-eigenvalue mask and inv_w
+    1/w on the kept eigenvalues (0 elsewhere).
     """
 
     rank: np.ndarray
-    lam_max_pinv: np.ndarray
+    lam_bound: np.ndarray
     vectors: np.ndarray | None = None
     keep: np.ndarray | None = None
     inv_w: np.ndarray | None = None
     gram: np.ndarray | None = None
     y: np.ndarray | None = None
     scale: np.ndarray | None = None
+    certified: bool = False
+    _exact: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    @property
+    def lam_max_pinv(self) -> np.ndarray:
+        """The exact lambda_max(S_i+), computed once on a certified factor."""
+        if not self.certified:
+            return self.lam_bound
+        if self._exact is None:
+            p = self.y.shape[2]
+            self._exact = _batch_spectrum(self.gram, default_rel_tol(p), vectors=False)[4]
+        return self._exact
 
 
 def check_finite(a: np.ndarray, what: str) -> None:
@@ -264,11 +290,11 @@ def check_finite(a: np.ndarray, what: str) -> None:
 
 
 def _sym_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stack a @ b symmetrised as (M + M')/2, in place and 256 entries
+    """The stack a @ b symmetrised as (M + M')/2, in place and SLAB entries
     at a time, so that no second stack of its size is ever held."""
     m = a @ b
-    for i in range(0, len(m), 256):
-        slab = m[i : i + 256]
+    for i in range(0, len(m), SLAB):
+        slab = m[i : i + SLAB]
         slab[...] = (slab + slab.transpose(0, 2, 1)) / 2.0
     return m
 
@@ -306,35 +332,91 @@ def _square_factor(s: np.ndarray) -> PinvFactor:
     return PinvFactor(rank, lam_max_pinv, vectors=v, keep=keep, inv_w=inv_w)
 
 
+def _nonempty_stack(a, kind: str) -> np.ndarray:
+    """a as a float64 stack of the given (R, ., .) kind; raises
+    DimensionMismatchError naming the shape when a is not 3-d or has an
+    empty axis."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 3 or 0 in a.shape:
+        raise DimensionMismatchError(f"expected a nonempty {kind} stack, got shape {a.shape}")
+    return a
+
+
+def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
+    """A certified upper bound on lambda_max(S+) = 1/lambda_min(G) for each
+    entry of the Gram stack g, or None when some entry fails the certificate:
+    the Cholesky of H = G/t^2 - c I, c = 2 rel_tol phi, rel_tol =
+    default_rel_tol(p), phi = |G/t^2|_F >= lambda_max(G/t^2).
+
+    Its computed factor R has R'R = H + dH, |dH|_2 <= n gamma_{n+1} |H|_2
+    (1 + O(n u)) (Higham 2002, Thm 10.3), and |H|_2 <= phi, so
+    lambda_min(G/t^2) >= c - n gamma_{n+1} phi >= 0.97 c, as for n < p <=
+    512 that error is below 3e-11 phi, at most n u / 2e-12 < 3 % of c. So
+    lambda_min(G) >= 1.94 rel_tol |G|_F, about twice the cutoff rel_tol
+    lambda_max(G): eigvalsh, with its O(n u |G|) error, also finds rank n.
+    And 1/lambda_min(G) <= 2 / (c t^2) = 1 / (rel_tol |G|_F), the bound
+    returned, whose 2x margin covers both backward errors and the roundings
+    of phi and the bound: it is >= the float 1/lambda_min of eigvalsh.
+    Near the Marchenko-Pastur edge |G|_F is about 4x below tr G, the other
+    cheap bound on lambda_max, so it misses far fewer full-rank draws. The
+    exact 1/t^2 keeps H and phi's squares of order 1 for any |Y|. H is
+    built and factored one SLAB at a time, the shift subtracted on its
+    diagonal view, so no second stack of g's size is held.
+    """
+    rel_tol = default_rel_tol(p)
+    # Not 1 / t^2: t reaches 2^512, whose square overflows.
+    inv_t2 = (1.0 / t) ** 2
+    phi = np.empty(len(g))
+    for i in range(0, len(g), SLAB):
+        h = g[i : i + SLAB] * inv_t2[i : i + SLAB, None, None]
+        phi[i : i + SLAB] = np.sqrt(np.einsum("rij,rij->r", h, h))
+        np.einsum("rii->ri", h)[...] -= 2.0 * rel_tol * phi[i : i + SLAB, None]
+        try:
+            np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            return None
+    return inv_t2 / (rel_tol * phi)
+
+
 def factor_stack(y_stack) -> PinvFactor:
     """Factor S_i = Y_i'Y_i for repeated apply_factor calls.
 
-    y_stack has shape (R, n, p). For n < p the nonzero spectrum of S is
-    that of G = YY' (n x n, symmetrised), whose eigenvalues alone fix the
-    ranks and lambda_max(S+) under the p x p cutoff rule
-    (default_rel_tol(p) * lambda_max). When every entry
-    has rank n, S+ = Y'G^-2 Y and the factor keeps G for linear solves.
-    Otherwise, and always for n >= p, the whole stack takes the p x p side:
-    S = Y'Y symmetrised and eigendecomposed. A non-finite Gram matrix is
-    rejected, naming the stack entry.
+    y_stack has shape (R, n, p), none of them 0. For n < p the nonzero
+    spectrum of S is that of G = YY' (n x n, symmetrised). When one
+    shifted Cholesky per entry certifies that every G has rank n under the
+    p x p cutoff rule (default_rel_tol(p) * lambda_max; _certify_full_rank
+    gives the margins), S+ = Y'G^-2 Y and the factor keeps G for linear
+    solves, with the certificate's bound on lambda_max(S+); the exact value
+    is computed only if read. When the certificate fails, eigvalsh(G) and
+    the cutoff rule decide: rank n everywhere keeps the solve side, with
+    exact ranks and lambda_max(S+) = 1/lambda_min(G). Otherwise, and always
+    for n >= p, the whole stack takes the p x p side: S = Y'Y symmetrised
+    and eigendecomposed. A non-finite Gram matrix is rejected, naming the
+    stack entry.
     """
-    y = np.asarray(y_stack, dtype=float)
-    if y.ndim != 3:
-        raise DimensionMismatchError(f"expected a (R, n, p) stack, got shape {y.shape}")
+    y = _nonempty_stack(y_stack, "(R, n, p)")
     _, n, p = y.shape
     yt = y.transpose(0, 2, 1)
     if n < p:
         g = _sym_product(y, yt)
         # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
         check_finite(g, "YY'")
+        # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
+        # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
+        # t ~ |Y|_F = sqrt(tr G) is exact.
+        t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
+        bound = _certify_full_rank(g, t, p)
+        if bound is not None:
+            return PinvFactor(np.full(len(g), n), bound, gram=g, y=y, scale=t, certified=True)
         _, _, _, rank, lam_max_pinv = _batch_spectrum(g, default_rel_tol(p), vectors=False)
         if np.all(rank == n):
-            # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
-            # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
-            # t ~ |Y|_F = sqrt(tr G) is exact.
-            t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
             return PinvFactor(rank, lam_max_pinv, gram=g, y=y, scale=t)
     return _square_factor(_sym_product(yt, y))
+
+
+def _factor_shape(factor: PinvFactor) -> tuple[int, int]:
+    """(R, p) of the stack a factor was made from."""
+    return len(factor.rank), (factor.vectors if factor.y is None else factor.y).shape[2]
 
 
 def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
@@ -349,7 +431,7 @@ def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
     """
     v, y = factor.vectors, factor.y
     x = np.asarray(x_stack, dtype=float)
-    r, p = len(factor.rank), (v if y is None else y).shape[2]
+    r, p = _factor_shape(factor)
     if x.ndim != 3 or x.shape[0] != r or x.shape[2] != p:
         raise DimensionMismatchError(
             f"vector stack shape {x.shape} does not match the factor's (R, k, p) = ({r}, k, {p})"
@@ -371,16 +453,22 @@ def f_from_coords(factor: PinvFactor, c) -> np.ndarray:
 
 
 def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
-    """F, P_S x, S+ x and lambda_max(S+) for one (R, p) stack of x.
+    """F, P_S x and S+ x for one (R, p) stack of x; lambda_max(S+) is read
+    from the factor only when the result's lam_max_pinv is.
 
     On the solve side, with d = G^-1 Y x,
 
         F = |d|^2,  P_S x = Y'd,  S+ x = Y'G^-1 (t d) / t,
 
-    with t the factor's power-of-two scale, and lambda_max(S+) =
-    1 / lambda_min(G). A non-finite x is rejected, naming the stack entry.
+    with t the factor's power-of-two scale. An x of another shape is
+    rejected, naming it, and a non-finite x naming the stack entry.
     """
     x = np.asarray(x_stack, dtype=float)
+    r, p = _factor_shape(factor)
+    if x.shape != (r, p):
+        raise DimensionMismatchError(
+            f"x stack shape {x.shape} does not match the factor's (R, p) = ({r}, {p})"
+        )
     c, psx = (a[:, 0] for a in factor_coords(factor, x[..., None, :]))
     if factor.y is None:
         spx = np.einsum("rjk,rk->rj", factor.vectors, c * factor.inv_w)
@@ -388,7 +476,7 @@ def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:
         t = factor.scale
         e = np.linalg.solve(factor.gram, (c * t[:, None])[:, :, None])
         spx = np.einsum("rnp,rn->rp", factor.y, e[:, :, 0]) / t[:, None]
-    return BatchPinvApply(f_from_coords(factor, c), factor.rank, psx, spx, factor.lam_max_pinv)
+    return BatchPinvApply(f_from_coords(factor, c), factor.rank, psx, spx, factor)
 
 
 def batch_pinv_apply(s_stack, x_stack) -> BatchPinvApply:
@@ -399,8 +487,8 @@ def batch_pinv_apply(s_stack, x_stack) -> BatchPinvApply:
     scalar and batched paths agree replicate by replicate. Non-finite
     entries are rejected, naming the first bad stack entry.
     """
-    s = np.asarray(s_stack, dtype=float)
-    if s.ndim != 3 or s.shape[1] != s.shape[2]:
+    s = _nonempty_stack(s_stack, "(R, p, p)")
+    if s.shape[1] != s.shape[2]:
         raise DimensionMismatchError(f"expected a (R, p, p) stack, got shape {s.shape}")
     return apply_factor(_square_factor(s), x_stack)
 

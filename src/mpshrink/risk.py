@@ -91,16 +91,23 @@ def batch_geometry(x, y) -> tuple[linalg.BatchPinvApply, np.ndarray]:
     """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x) and
     the (R,) f_degenerate mask, the rule every engine applies."""
     ba = linalg.batch_pinv_factor(y, x)
-    return ba, _degenerate(x, ba.f, ba.psx, ba.rank, ba.lam_max_pinv)
+    return ba, _degenerate(x, ba.f, ba.psx, ba.factor)
 
 
 def _rowdot(a, b) -> np.ndarray:
     return np.einsum("ri,ri->r", a, b)
 
 
-def _degenerate(x, f, psx, rank, lam_max_pinv) -> np.ndarray:
-    psx_norm = np.linalg.norm(psx, axis=1)
-    return f_degenerate(f, _rowdot(x, x), rank, psx_norm, lam_max_pinv)
+def _degenerate(x, f, psx, factor: linalg.PinvFactor) -> np.ndarray:
+    """f_degenerate at the factor's bound on lambda_max(S+) first. The bound
+    is >= the exact value, so its mask holds the exact rule's; only when it
+    flags a draw of a certified factor is the rule evaluated again at the
+    exact lambda_max(S+)."""
+    x_sq, psx_norm = _rowdot(x, x), np.linalg.norm(psx, axis=1)
+    degen = f_degenerate(f, x_sq, factor.rank, psx_norm, factor.lam_bound)
+    if factor.certified and degen.any():
+        degen = f_degenerate(f, x_sq, factor.rank, psx_norm, factor.lam_max_pinv)
+    return degen
 
 
 @dataclass(frozen=True, eq=False)
@@ -168,13 +175,16 @@ class ReplicateStudy:
     number of degenerate draws, which every estimator passed through
     unshrunk, and the unbiased risk-difference integrand when one was asked
     for. From run_study all three carry a leading theta axis. chunks counts
-    the CHUNK blocks, and fallback_chunks those of an n < p scenario whose
-    factor took the p x p side because some draw had rank below n."""
+    the CHUNK blocks; of an n < p scenario's chunks, eigvalsh_chunks counts
+    those whose full-rank certificate failed, so that eigvalsh(G) decided
+    their ranks, and fallback_chunks those of them whose factor then took
+    the p x p side because some draw had rank below n."""
 
     losses: np.ndarray
     degenerate: np.ndarray
     sure: np.ndarray | None = None
     chunks: int = 0
+    eigvalsh_chunks: int = 0
     fallback_chunks: int = 0
 
 
@@ -216,6 +226,7 @@ def run_study(
     losses = np.empty((len(norms), len(specs), total))
     sure = np.empty((len(norms), total)) if sure_r is not None else None
     degenerate = np.empty((len(norms), total), dtype=bool)
+    uncertified: list[int] = []
     fallbacks: list[int] = []
 
     def body(start: int, stop: int) -> None:
@@ -224,8 +235,10 @@ def run_study(
             cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, stop - start
         )
         factor = linalg.factor_stack(y)
-        if factor.gram is None and cfg.n < cfg.p:
-            fallbacks.append(start)
+        if cfg.n < cfg.p and not factor.certified:
+            uncertified.append(start)
+            if factor.gram is None:
+                fallbacks.append(start)
         # z and u go through the factor together: one solve, two right-hand sides.
         both = np.stack([noise, np.broadcast_to(cfg.theta_direction, noise.shape)], axis=1)
         c, psx_both = linalg.factor_coords(factor, both)
@@ -238,7 +251,7 @@ def run_study(
             linalg.check_finite(x, "x")
             f = linalg.f_from_coords(factor, c_noise + tn * c_dir)
             psx = psx_noise + tn * psx_dir
-            degen = _degenerate(x, f, psx, factor.rank, factor.lam_max_pinv)
+            degen = _degenerate(x, f, psx, factor)
             degenerate[t, start:stop] = degen
             f_safe = np.where(degen, 1.0, f)
             two_q_zp = 2.0 * _rowdot(nsi, psx)
@@ -262,6 +275,7 @@ def run_study(
         sure=sure,
         degenerate=degenerate.sum(axis=1),
         chunks=len(range(0, total, CHUNK)),
+        eigvalsh_chunks=len(uncertified),
         fallback_chunks=len(fallbacks),
     )
 
@@ -296,8 +310,9 @@ class RiskRow:
     """One (estimator, theta_norm) cell of a scenario's risk table.
 
     degenerate counts the draws at this theta_norm that every estimator
-    passed through unshrunk, and chunks and fallback_chunks are the
-    scenario's run_study counts; the CSV carries none of them.
+    passed through unshrunk, and chunks, eigvalsh_chunks and
+    fallback_chunks are the scenario's run_study counts; the CSV carries
+    none of them.
     """
 
     scenario: str
@@ -311,6 +326,7 @@ class RiskRow:
     std_err: float
     degenerate: int
     chunks: int
+    eigvalsh_chunks: int
     fallback_chunks: int
 
 
@@ -341,6 +357,7 @@ def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
                     std_err=est.std_error,
                     degenerate=int(study.degenerate[t]),
                     chunks=study.chunks,
+                    eigvalsh_chunks=study.eigvalsh_chunks,
                     fallback_chunks=study.fallback_chunks,
                 )
             )

@@ -335,7 +335,11 @@ def test_run_reports_fallback_chunks_and_keeps_bytes_across_jobs(monkeypatch, tm
         assert run(parse_config(text), jobs=jobs, out_dir=str(tmp_path / str(jobs))) == 0
         out[jobs] = {f.name: f.read_bytes() for f in (tmp_path / str(jobs)).iterdir()}
         err = capsys.readouterr().err
-        assert re.search(r"^one: .*, 0 degenerate draws, 1 of 4 chunks on the p x p fallback$", err, re.M)
+        assert re.search(
+            r"^one: .*, 0 degenerate draws, 1 of 4 chunks needed eigvalsh, 1 took the p x p fallback$",
+            err,
+            re.M,
+        )
         # n >= p always runs on the p x p side: nothing falls back.
         assert re.search(r"^wide: .*, 0 degenerate draws$", err, re.M)
     assert len(out[1]) == 4 and out[1] == out[4]
@@ -431,7 +435,7 @@ def test_main_run_subcommand(tmp_path, capsys):
     assert (tmp_path / "out" / "one.csv").exists()
     assert re.search(
         r"^one: wrote one\.csv \(\d+ rows\) in \d+\.\d\d s, \d+ replicates/s, 0 degenerate draws, "
-        r"0 of 1 chunks on the p x p fallback$",
+        r"0 of 1 chunks needed eigvalsh, 0 took the p x p fallback$",
         capsys.readouterr().err,
         re.M,
     )

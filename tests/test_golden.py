@@ -1,10 +1,12 @@
 """Golden-bytes checks of `mpshrink run` and `mpshrink verify`.
 
-The files under golden/figure1-2100 are the CSVs that five figure1.cfg
+The files under golden/figure1-2100 are the CSVs that six figure1.cfg
 sections write at --replicates 2100 (two chunks): one each of p10-n5,
-p10-n9, p20-n10, p20-n19 and p50-n25, covering the three covariance shapes,
-n = p/2 and n = p-1 on the solve side of the kernel and the largest p,
-where the theta sweep does the most arithmetic. A change that claims to keep the
+p10-n9, p20-n10, p20-n19, p50-n25 and p50-n49, covering the three
+covariance shapes, n = p/2 and n = p-1 on the solve side of the kernel,
+the largest p, where the theta sweep does the most arithmetic, and
+p50-n49, nearest the Marchenko-Pastur edge, where lambda_min(G) is
+smallest against the full-rank certificate's shift. A change that claims to keep the
 output bytes must keep these, at any --jobs. To re-pin them after a change
 that moves the bytes on purpose, run the same sections and copy the CSVs.
 
@@ -27,7 +29,14 @@ from mpshrink.cli import main
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "figure1-2100"
-SECTIONS = ("p10-n5-spiked", "p10-n9-ar", "p20-n10-block", "p20-n19-spiked", "p50-n25-ar")
+SECTIONS = (
+    "p10-n5-spiked",
+    "p10-n9-ar",
+    "p20-n10-block",
+    "p20-n19-spiked",
+    "p50-n25-ar",
+    "p50-n49-block",
+)
 
 
 def figure1_subset() -> str:

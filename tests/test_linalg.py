@@ -1,9 +1,13 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from mpshrink.estimators import f_degenerate, pinv_geometry
+from mpshrink import linalg, randgen, risk
+from mpshrink.estimators import JamesStein, Usual, f_degenerate, pinv_geometry
 from mpshrink.linalg import (
     MAX_DIM,
     BatchPinvApply,
@@ -613,10 +617,28 @@ def test_apply_factor_rejects_bad_x(n):
     x[1, 7] = np.nan
     with pytest.raises(ValueError, match="stack entry 1: x"):
         apply_factor(factor, x)
-    with pytest.raises(DimensionMismatchError):
-        apply_factor(factor, np.ones((3, 9)))
-    with pytest.raises(DimensionMismatchError):
-        apply_factor(factor, np.ones((2, 10)))
+    # The message names the shape the caller passed, against the factor's (R, p).
+    for shape in [(3, 9), (2, 10), (3, 1, 10), (10,)]:
+        message = f"x stack shape {shape} does not match the factor's (R, p) = (3, 10)"
+        with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+            apply_factor(factor, np.ones(shape))
+
+
+def _pinv_apply_on(s):
+    return batch_pinv_apply(s, np.ones(s.shape[:2]))
+
+
+@pytest.mark.parametrize(
+    "call, kind, shape",
+    [(factor_stack, "(R, n, p)", s) for s in [(0, 3, 5), (0, 5, 3), (4, 0, 3), (4, 3, 0), (4, 0, 0)]]
+    + [(_pinv_apply_on, "(R, p, p)", s) for s in [(0, 3, 3), (2, 0, 0)]],
+)
+def test_empty_stacks_are_rejected_naming_the_shape(call, kind, shape):
+    """An empty stack, or one with n = 0 or p = 0, is a DimensionMismatchError
+    that names its shape, from factor_stack and batch_pinv_apply alike."""
+    message = f"expected a nonempty {kind} stack, got shape {shape}"
+    with pytest.raises(DimensionMismatchError, match=re.escape(message)):
+        call(np.empty(shape))
 
 
 def _js_delta(ba, x, a=0.4):
@@ -666,3 +688,184 @@ def test_batch_pinv_factor_orthogonal_equivariance(p, shape, seed):
     assert rel_diff(turned.spx, base.spx @ q.T) <= tol
     assert rel_diff(turned.lam_max_pinv, base.lam_max_pinv) <= tol
     assert rel_diff(_js_delta(turned, x @ q.T), _js_delta(base, x) @ q.T) <= tol
+
+
+# ------------------------------------------------- full-rank certificate
+
+
+def designed_stack(rng, p, n, positions, scale_exp):
+    """A stack Y_i = U diag(sigma) V' with n < p, one entry per position in
+    [0, 1]: the other sigma^2 are uniform on [1, 2], the smallest sits at
+    that point of the log scale from the rank cutoff / 10 to 10 times the
+    certificate's shift c t^2 = 2 default_rel_tol(p) |G|_F. Also returns,
+    per entry, sigma_min^2 / (c t^2), the unit vector w of S's range with
+    w'S+w = 1/sigma_min^2 and a unit vector z of S's null space."""
+    rel_tol = default_rel_tol(p)
+    y, margin = np.empty((len(positions), n, p)), np.empty(len(positions))
+    w, z = np.empty((len(positions), p)), np.empty((len(positions), p))
+    for i, pos in enumerate(positions):
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((p, n + 1)))
+        s2 = rng.uniform(1.0, 2.0, n)
+        shift = 2.0 * rel_tol * np.sqrt(np.sum(s2[:-1] ** 2))
+        lo, hi = rel_tol * s2[:-1].max() / 10.0, 10.0 * shift
+        s2[-1] = lo * (hi / lo) ** pos
+        margin[i] = s2[-1] / shift
+        y[i] = (u * np.sqrt(s2)) @ v[:, :n].T
+        w[i], z[i] = v[:, n - 1], v[:, n]
+    return y * 10.0**scale_exp, margin, w, z
+
+
+def exact_spectrum(factor, p):
+    """Ranks and lambda_max(S+) from eigvalsh of the factor's G and the cutoff rule."""
+    _, _, _, rank, lam = linalg._batch_spectrum(factor.gram, default_rel_tol(p), vectors=False)
+    return rank, lam
+
+
+def run_study_mask(y, x):
+    """The degenerate mask that run_study's theta loop applies at |theta| = 0
+    to the given (x, Y) draws."""
+    r, n, p = y.shape
+    cfg = risk.ScenarioConfig(p=p, n=n, cov=randgen.Identity(), estimators=[], replicates=r)
+    masks = []
+    degenerate = risk._degenerate
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randgen, "batch_normal_wishart", lambda *args: (x.copy(), y))
+        mp.setattr(risk, "_degenerate", lambda *args: masks.append(degenerate(*args)) or masks[-1])
+        # x almost in S's null space has a tiny F, so js's loss may overflow.
+        with np.errstate(over="ignore"):
+            study = risk.run_study(cfg, [JamesStein(1.0)], [0.0])
+    assert len(masks) == 1 and study.degenerate[0] == masks[0].sum()
+    return masks[0]
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    p=st.integers(min_value=5, max_value=24),
+    n_pick=st.integers(min_value=0, max_value=1000),
+    positions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=3),
+    scale_exp=st.integers(min_value=-100, max_value=100),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(p=12, n_pick=0, positions=[0.0], scale_exp=0, seed=1)
+@example(p=12, n_pick=5, positions=[0.0, 1.0], scale_exp=-99, seed=2)
+@example(p=12, n_pick=5, positions=[1.0, 0.9], scale_exp=-99, seed=3)
+@example(p=12, n_pick=5, positions=[1.0, 0.9], scale_exp=100, seed=4)
+def test_full_rank_certificate_against_eigvalsh(p, n_pick, positions, scale_exp, seed):
+    """A certified stack has rank n under eigvalsh and the cutoff rule, and
+    its bound is >= the exact lambda_max(S+) as floats; a stack whose
+    smallest sigma^2 is 3 c or more is certified at any |Y|. Whatever the
+    side, batch_geometry's and run_study's degenerate masks equal the exact
+    rule. x runs over a random draw and two draws almost in S's null space:
+    one that the bound flags and the exact pass clears, one that both flag."""
+    n = 3 + n_pick % (p - 3)
+    rng = np.random.default_rng(seed)
+    y, margin, w, z = designed_stack(rng, p, n, positions, scale_exp)
+    factor = factor_stack(y)
+    if factor.gram is not None:
+        rank, lam = exact_spectrum(factor, p)
+        assert np.array_equal(factor.rank, rank)
+        assert np.array_equal(factor.lam_max_pinv, lam)
+    if factor.certified:
+        assert np.all(rank == n)
+        assert np.all(factor.lam_bound >= lam)
+        # F / (1e-12 |x|^2 lam) = sqrt(lam_bound / lam): above the exact
+        # rule's threshold by that factor, below the bound's by as much.
+        eps = 1e-6 * (factor.lam_bound / lam) ** 0.25
+    else:
+        assert not np.all(margin >= 3.0)
+        eps = np.full(len(y), 1e-5)
+    xs = {
+        "random": rng.standard_normal((len(y), p)),
+        "bound only": z + eps[:, None] * w,
+        "both": z + 1e-8 * w,
+    }
+    for name, x in xs.items():
+        ba, degen = risk.batch_geometry(x, y)
+        x_sq, psx_norm = np.einsum("ri,ri->r", x, x), np.linalg.norm(ba.psx, axis=1)
+        exact = f_degenerate(ba.f, x_sq, ba.rank, psx_norm, ba.lam_max_pinv)
+        assert np.array_equal(degen, exact), name
+        assert np.array_equal(run_study_mask(y, x), exact), name
+        if factor.certified and name != "random":
+            assert np.all(f_degenerate(ba.f, x_sq, ba.rank, psx_norm, factor.lam_bound))
+            assert np.all(exact) == (name == "both")
+
+
+@pytest.mark.parametrize("p, n", [(12, 5), (24, 23)])
+def test_certificate_bound_holds_at_the_shift(p, n):
+    """Where lambda_min(G/t^2) sits within rounding of the shift c, the
+    Cholesky of G/t^2 - c I succeeds on some entries and fails on others.
+    Wherever it succeeds, the bound is still >= the exact lambda_max(S+),
+    and eigvalsh still finds rank n: the 2x margin covers the window."""
+    rng = np.random.default_rng(17)
+    certified = 0
+    # Steps of 1e-7 relative: the window where rounding decides is about 1e-5 wide.
+    for k in range(-200, 201):
+        y, _, _, _ = designed_stack(rng, p, n, [0.0], 0)
+        u, s, vt = np.linalg.svd(y[0], full_matrices=False)
+        s2 = s**2
+        s2[-1] = 2.0 * default_rel_tol(p) * np.sqrt(np.sum(s2[:-1] ** 2)) * (1.0 + k * 1e-7)
+        factor = factor_stack(((u * np.sqrt(s2)) @ vt)[None])
+        if factor.certified:
+            certified += 1
+            rank, lam = exact_spectrum(factor, p)
+            assert rank[0] == n
+            assert factor.lam_bound[0] >= lam[0], k
+    assert 0 < certified < 401
+
+
+def test_certificate_where_t_squared_overflows():
+    """|Y| ~ 1e153 keeps YY' finite but makes t = 2^512, whose square
+    overflows; the exact scaling by (1/t)^2 still certifies the stack."""
+    y, _, _, _ = designed_stack(np.random.default_rng(4), 10, 5, [1.0, 1.0], 0)
+    # tr G = 1.3e308, each G_ii about a fifth of it.
+    y *= np.sqrt(1.3e308) / np.linalg.norm(y, axis=(1, 2), keepdims=True)
+    factor = factor_stack(y)
+    assert np.all(factor.scale == 2.0**512)
+    rank, lam = exact_spectrum(factor, 10)
+    assert factor.certified and np.all(rank == 5)
+    assert np.all(factor.lam_bound >= lam)
+
+
+def test_factor_stack_peak_memory_is_g_plus_slabs():
+    """factor_stack on a (2048, 49, 50) stack holds G and at most a few
+    SLAB-entry temporaries at once (tracemalloc sees numpy's buffers):
+    symmetrising G, the finite check and the shifted Cholesky all work one
+    slab at a time on the certified path."""
+    r, n, p = 2048, 49, 50
+    y = np.random.default_rng(0).standard_normal((r, n, p))
+    g_bytes = r * n * n * 8
+    slab_bytes = linalg.SLAB * n * n * 8
+    tracemalloc.start()
+    try:
+        factor = factor_stack(y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.certified
+    assert peak <= g_bytes + 4 * slab_bytes, (peak, g_bytes, slab_bytes)
+
+
+def test_certified_path_never_reads_the_exact_value():
+    """On a certified stack whose draws the bound clears, neither the risk
+    engine's theta loop nor batch_geometry runs eigvalsh(G)."""
+    rng = np.random.default_rng(8)
+    y = rng.standard_normal((16, 6, 10))
+    x = rng.standard_normal((16, 10))
+    ba, degen = risk.batch_geometry(x, y)
+    assert ba.factor.certified and not degen.any()
+    assert ba.factor._exact is None
+    factors = []
+
+    def recorded(y):
+        factors.append(factor_stack(y))
+        return factors[-1]
+
+    cfg = risk.ScenarioConfig(p=10, n=6, cov=randgen.Identity(), estimators=[], replicates=16)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(randgen, "batch_normal_wishart", lambda *args: (x.copy(), y))
+        mp.setattr(linalg, "factor_stack", recorded)
+        study = risk.run_study(cfg, [Usual(), JamesStein(1.0)], [0.0, 1.0, 5.0])
+    assert study.eigvalsh_chunks == 0 and not study.degenerate.any()
+    assert len(factors) == 1 and factors[0].certified and factors[0]._exact is None
+

@@ -361,8 +361,9 @@ def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
     assert np.array_equal(study.losses[:, 0, 21], study.losses[:, 1, 21])
     assert np.array_equal(study.degenerate, [1, 1])
-    # The zero Y sends its chunk, and only that one, to the p x p side.
-    assert (study.chunks, study.fallback_chunks) == (3, 1)
+    # The zero Y fails the full-rank certificate and sends its chunk, and
+    # only that one, through eigvalsh to the p x p side.
+    assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 1)
     rows = risk_curve(cfg, jobs=jobs)
     assert [r.degenerate for r in rows] == [1, 1] * len(cfg.estimators)
 
@@ -471,6 +472,37 @@ def _row_defect_of(draw, i, defect):
     return drawn
 
 
+def test_uncertified_full_rank_draw_stays_on_the_solve_side(monkeypatch):
+    """A draw whose lambda_min(G) lies between the rank cutoff and the
+    full-rank certificate's shift fails the certificate; eigvalsh then finds
+    rank n, so its chunk is counted as needing eigvalsh and keeps the solve
+    side, with exact ranks and lambda_max(S+)."""
+    draw = randgen.batch_normal_wishart
+    factors = []
+
+    def thinned(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+        if start <= 5 < start + count:
+            u, sv, vt = np.linalg.svd(y[5 - start], full_matrices=False)
+            sv[-1] = sv[0] * math.sqrt(1.4 * linalg.default_rel_tol(p))
+            y[5 - start] = (u * sv) @ vt
+        return x, y
+
+    monkeypatch.setattr(risk, "CHUNK", 4)
+    monkeypatch.setattr(randgen, "batch_normal_wishart", thinned)
+    def recorded(y, factor_stack=linalg.factor_stack):
+        factors.append(factor_stack(y))
+        return factors[-1]
+
+    monkeypatch.setattr(linalg, "factor_stack", recorded)
+    cfg = replace(SMALL, replicates=12, theta_norms=[0.0, 3.0])
+    study = run_study(cfg, cfg.estimators, cfg.theta_norms)
+    assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 0)
+    assert [f.certified for f in factors] == [True, False, True]
+    assert factors[1].gram is not None and np.all(factors[1].rank == cfg.n)
+    assert np.array_equal(factors[1].lam_bound, factors[1].lam_max_pinv)
+
+
 @pytest.mark.parametrize("defect", ["duplicate", "near", "zero"])
 def test_rank_deficient_draw_falls_back_and_matches_scalar_estimate(monkeypatch, defect):
     """One rank-deficient draw among full-rank ones puts its chunk, and only
@@ -483,7 +515,7 @@ def test_rank_deficient_draw_falls_back_and_matches_scalar_estimate(monkeypatch,
     draw = _row_defect_of(randgen.batch_normal_wishart, 5, defect)
     monkeypatch.setattr(randgen, "batch_normal_wishart", draw)
     study = run_study(cfg, specs, cfg.theta_norms)
-    assert (study.chunks, study.fallback_chunks) == (3, 1)
+    assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 1)
     assert np.array_equal(study.degenerate, [int(defect == "zero")] * 2)
     sigma = randgen.build_covariance(cfg.cov, cfg.p)
     sigma_inv = linalg.inv_pd(sigma)
