@@ -34,7 +34,9 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from . import identities, risk, svgchart
@@ -42,22 +44,13 @@ from .estimators import JamesStein, PositivePartJS, Usual, check_unique_labels, 
 from .randgen import Autoregressive, BlockDiagonal, Identity, Spiked
 
 CSV_HEADER = "scenario,p,n,cov_model,estimator,theta_norm,replicates,risk,std_err"
+IDENTITY_CSV_HEADER = "identity,analytic,oracle,abs_err,rel_err,tolerance,pass"
+# The CSV_HEADER columns of a RiskRow: its attributes of the same names.
+_csv_columns = attrgetter(*CSV_HEADER.split(","))
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9._-]+)\]$")
 # An inline comment: '#' or ';' after whitespace, to the end of the line.
 _INLINE_COMMENT_RE = re.compile(r"\s[#;].*$")
-_GLOBAL_KEYS = ("master_seed", "replicates", "emit_svg", "output_dir")
-_SCENARIO_KEYS = (
-    "p",
-    "n",
-    "cov",
-    "rho",
-    "estimators",
-    "theta_norms",
-    "theta_direction",
-    "replicates",
-    "seed",
-)
 
 
 class ConfigError(ValueError):
@@ -128,19 +121,66 @@ def _parse_bool(value: str, field: str, line: int) -> bool:
     raise ConfigError(f"{field}: expected true/false, got {value!r}", line)
 
 
+def _parse_number(value: str, field: str, line: int) -> float:
+    try:
+        return float(value)
+    except ValueError:
+        raise ConfigError(f"{field}: expected a number, got {value!r}", line) from None
+
+
 def _parse_floats(value: str, field: str, line: int) -> list[float]:
     out = []
     for tok in value.split(","):
         tok = tok.strip()
         if not tok:
             raise ConfigError(f"{field}: empty entry in list", line)
-        try:
-            out.append(float(tok))
-        except ValueError:
-            raise ConfigError(f"{field}: expected a number, got {tok!r}", line) from None
+        out.append(_parse_number(tok, field, line))
         if not math.isfinite(out[-1]):
             raise ConfigError(f"{field}: expected a finite number, got {tok!r}", line)
     return out
+
+
+def _parse_text(value: str, field: str, line: int) -> str:
+    return value
+
+
+# Each section kind's keys, mapped to their value parsers.
+_GLOBAL_KEYS = {
+    "master_seed": _parse_int,
+    "replicates": _parse_int,
+    "emit_svg": _parse_bool,
+    "output_dir": _parse_text,
+}
+_SCENARIO_KEYS = {
+    "p": _parse_int,
+    "n": _parse_int,
+    "cov": _parse_text,
+    "rho": _parse_number,
+    "estimators": _parse_text,
+    "theta_norms": _parse_floats,
+    "theta_direction": _parse_floats,
+    "replicates": _parse_int,
+    "seed": _parse_int,
+}
+# Covariance names; the models with a rho field (and its default) take `rho`.
+_COVARIANCES = {
+    "spiked": Spiked,
+    "ar": Autoregressive,
+    "autoregressive": Autoregressive,
+    "block": BlockDiagonal,
+    "block-diagonal": BlockDiagonal,
+    "identity": Identity,
+}
+
+
+def _parse_keys(keys: dict, table: dict) -> dict:
+    """{key: parsed value} of one section; an unknown key is rejected on its line."""
+    values = {}
+    for key, (value, line) in keys.items():
+        if key not in table:
+            raise ConfigError(f"unknown key '{key}'", line)
+        values[key] = table[key](value, key, line)
+    return values
 
 
 def _parse_estimator(tok: str, p: int, n: int):
@@ -173,74 +213,43 @@ def _parse_estimators(value: str, p: int, n: int, line: int) -> list:
     return specs
 
 
-def _build_scenario(name: str, name_line: int, keys: dict, defaults: dict) -> risk.ScenarioConfig:
-    unknown = set(keys) - set(_SCENARIO_KEYS)
-    if unknown:
-        field = sorted(unknown)[0]
-        raise ConfigError(f"unknown key '{field}'", keys[field][1])
+def _build_scenario(name: str, name_line: int, keys: dict, settings: dict) -> risk.ScenarioConfig:
+    values = _parse_keys(keys, _SCENARIO_KEYS)
     for required in ("p", "n", "cov"):
-        if required not in keys:
+        if required not in values:
             raise ConfigError(f"scenario '{name}': missing required key '{required}'", name_line)
-    p = _parse_int(keys["p"][0], "p", keys["p"][1])
-    n = _parse_int(keys["n"][0], "n", keys["n"][1])
+    p, n = values["p"], values["n"]
     if min(p, n) < 3:
         raise ConfigError(f"min(p, n) must be at least 3, got p={p}, n={n}", name_line)
 
-    cov_value, cov_line = keys["cov"]
-    rho = None
-    if "rho" in keys:
-        raw, rho_line = keys["rho"]
-        try:
-            rho = float(raw)
-        except ValueError:
-            raise ConfigError(f"rho: expected a number, got {raw!r}", rho_line) from None
-        if not abs(rho) < 1.0:
-            raise ConfigError(f"rho: |rho| < 1 required, got {rho}", rho_line)
-    if cov_value == "spiked":
-        cov = Spiked()
-    elif cov_value in ("ar", "autoregressive"):
-        cov = Autoregressive(rho if rho is not None else 0.5)
-    elif cov_value in ("block", "block-diagonal"):
-        cov = BlockDiagonal(rho if rho is not None else 0.5)
-    elif cov_value == "identity":
-        cov = Identity()
-    else:
+    model = _COVARIANCES.get(values["cov"])
+    if model is None:
         raise ConfigError(
-            f"cov: unknown covariance {cov_value!r} (use spiked, ar, block, identity)", cov_line
+            f"cov: unknown covariance {values['cov']!r} (use spiked, ar, block, identity)",
+            keys["cov"][1],
         )
-    if rho is not None and cov_value not in ("ar", "autoregressive", "block", "block-diagonal"):
+    rho = {"rho": values["rho"]} if "rho" in values else {}
+    if rho and not hasattr(model, "rho"):
         raise ConfigError("rho: only meaningful for ar or block covariances", keys["rho"][1])
+    try:
+        cov = model(**rho)
+    except ValueError as exc:
+        raise ConfigError(f"rho: {exc}", keys["rho"][1]) from None
 
-    if "estimators" in keys:
-        est = _parse_estimators(keys["estimators"][0], p, n, keys["estimators"][1])
+    if "estimators" in values:
+        est = _parse_estimators(values["estimators"], p, n, keys["estimators"][1])
     else:
         est = [Usual(), JamesStein(js_default_constant(p, n))]
-
-    theta_norms = None
-    if "theta_norms" in keys:
-        theta_norms = _parse_floats(keys["theta_norms"][0], "theta_norms", keys["theta_norms"][1])
-    theta_direction = None
-    if "theta_direction" in keys:
-        theta_direction = _parse_floats(
-            keys["theta_direction"][0], "theta_direction", keys["theta_direction"][1]
-        )
-    replicates = defaults["replicates"]
-    if "replicates" in keys:
-        replicates = _parse_int(keys["replicates"][0], "replicates", keys["replicates"][1])
-    seed = defaults["master_seed"]
-    if "seed" in keys:
-        seed = _parse_int(keys["seed"][0], "seed", keys["seed"][1])
-
     try:
         return risk.ScenarioConfig(
             p=p,
             n=n,
             cov=cov,
             estimators=est,
-            theta_direction=theta_direction,
-            theta_norms=theta_norms,
-            replicates=replicates,
-            master_seed=seed,
+            theta_direction=values.get("theta_direction"),
+            theta_norms=values.get("theta_norms"),
+            replicates=values.get("replicates", settings["replicates"]),
+            master_seed=values.get("seed", settings["master_seed"]),
             name=name,
         )
     except ValueError as exc:
@@ -256,63 +265,37 @@ def parse_config(text: str) -> RunManifest:
             what = "section" if name == "global" else "scenario name"
             raise ConfigError(f"duplicate {what} '{name}'", line)
         seen.add(name)
-    defaults = {"master_seed": 0, "replicates": 10_000}
-    manifest = RunManifest(scenarios=[])
-    scenario_sections = []
-    for name, line, keys in sections:
+    settings = {"master_seed": 0, "replicates": 10_000}
+    for name, _, keys in sections:
         if name == "global":
-            unknown = set(keys) - set(_GLOBAL_KEYS)
-            if unknown:
-                field = sorted(unknown)[0]
-                raise ConfigError(f"unknown key '{field}'", keys[field][1])
-            if "master_seed" in keys:
-                defaults["master_seed"] = _parse_int(
-                    keys["master_seed"][0], "master_seed", keys["master_seed"][1]
-                )
-            if "replicates" in keys:
-                defaults["replicates"] = _parse_int(
-                    keys["replicates"][0], "replicates", keys["replicates"][1]
-                )
-            if "emit_svg" in keys:
-                manifest.emit_svg = _parse_bool(keys["emit_svg"][0], "emit_svg", keys["emit_svg"][1])
-            if "output_dir" in keys:
-                manifest.output_dir = keys["output_dir"][0]
-        else:
-            scenario_sections.append((name, line, keys))
-    if not scenario_sections:
-        raise ConfigError("config defines no scenarios")
-    manifest.master_seed = defaults["master_seed"]
-    manifest.scenarios = [
-        _build_scenario(name, line, keys, defaults) for name, line, keys in scenario_sections
+            settings.update(_parse_keys(keys, _GLOBAL_KEYS))
+    scenarios = [
+        _build_scenario(name, line, keys, settings)
+        for name, line, keys in sections
+        if name != "global"
     ]
-    return manifest
+    if not scenarios:
+        raise ConfigError("config defines no scenarios")
+    del settings["replicates"]
+    return RunManifest(scenarios, **settings)
 
 
-def _g10(v: float) -> str:
-    return format(v, ".10g")
+def _csv_field(v) -> str:
+    """A CSV cell: str and int as they are, bool as true/false, other numbers at .10g."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v) if isinstance(v, (str, int)) else format(v, ".10g")
 
 
-def _rows_to_csv(rows: list[risk.RiskRow]) -> str:
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.scenario},{r.p},{r.n},{r.cov_model},{r.estimator},"
-            f"{_g10(r.theta_norm)},{r.replicates},{_g10(r.risk)},{_g10(r.std_err)}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_csv(path: Path, header: str, rows) -> None:
+    lines = [header] + [",".join(map(_csv_field, row)) for row in rows]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _scenario_svg(cfg: risk.ScenarioConfig, rows: list[risk.RiskRow]) -> str:
     series = []
-    order = []
-    by_est: dict[str, list[risk.RiskRow]] = {}
-    for r in rows:
-        if r.estimator not in by_est:
-            by_est[r.estimator] = []
-            order.append(r.estimator)
-        by_est[r.estimator].append(r)
-    for label in order:
-        pts = by_est[label]
+    for label, group in groupby(rows, key=attrgetter("estimator")):
+        pts = list(group)
         series.append((label, [r.theta_norm for r in pts], [r.risk for r in pts]))
     return svgchart.line_chart(
         series,
@@ -349,11 +332,15 @@ def run(
     failed = False
     for cfg in manifest.scenarios:
         if replicates_override is not None:
+            # replace() runs __post_init__, which would normalise the
+            # already unit theta_direction again and can move it by an ulp.
+            direction = cfg.theta_direction
             cfg = replace(cfg, replicates=replicates_override)
+            cfg.theta_direction = direction
         t0 = time.perf_counter()
         try:
             rows = risk.risk_curve(cfg, jobs=jobs)
-            (target / f"{cfg.name}.csv").write_text(_rows_to_csv(rows), encoding="utf-8")
+            _write_csv(target / f"{cfg.name}.csv", CSV_HEADER, map(_csv_columns, rows))
             if manifest.emit_svg:
                 (target / f"{cfg.name}.svg").write_text(
                     _scenario_svg(cfg, rows), encoding="utf-8"
@@ -379,9 +366,6 @@ def run(
             f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws{fallback}\n"
         )
     return 1 if failed else 0
-
-
-IDENTITY_CSV_HEADER = "identity,analytic,oracle,abs_err,rel_err,tolerance,pass"
 
 
 def verify(
@@ -422,13 +406,7 @@ def verify(
     if out_dir is not None:
         target = Path(out_dir)
         target.mkdir(parents=True, exist_ok=True)
-        lines = [IDENTITY_CSV_HEADER]
-        for r in reports:
-            lines.append(
-                f"{r.name},{_g10(r.analytic)},{_g10(r.oracle)},{_g10(r.abs_err)},"
-                f"{_g10(r.rel_err)},{_g10(r.tolerance)},{'true' if r.passed else 'false'}"
-            )
-        (target / "identities.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_csv(target / "identities.csv", IDENTITY_CSV_HEADER, map(astuple, reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

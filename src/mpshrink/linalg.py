@@ -364,7 +364,6 @@ def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
     diagonal view, so no second stack of g's size is held.
     """
     rel_tol = default_rel_tol(p)
-    # Not 1 / t^2: t reaches 2^512, whose square overflows.
     inv_t2 = (1.0 / t) ** 2
     phi = np.empty(len(g))
     for i in range(0, len(g), SLAB):
@@ -403,8 +402,8 @@ def factor_stack(y_stack) -> PinvFactor:
         check_finite(g, "YY'")
         # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
         # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
-        # t ~ |Y|_F = sqrt(tr G) is exact.
-        t = np.ldexp(1.0, np.frexp(np.einsum("rii->r", g))[1] // 2)
+        # t ~ sqrt(max_i G_ii) is exact; tr G could overflow where G does not.
+        t = np.ldexp(1.0, np.frexp(g.diagonal(axis1=1, axis2=2).max(axis=1))[1] // 2)
         bound = _certify_full_rank(g, t, p)
         if bound is not None:
             return PinvFactor(np.full(len(g), n), bound, gram=g, y=y, scale=t, certified=True)

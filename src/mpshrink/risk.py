@@ -125,7 +125,8 @@ class ScenarioConfig:
 
     theta_direction defaults to the equal-weights unit vector; theta_norms
     defaults to the study grid {0, 0.5, ..., 6} * sqrt(p). Both must be
-    finite, and no two estimators may share a label.
+    finite, and no two estimators may share a label. p may not exceed
+    linalg.MAX_DIM, and master_seed must be nonnegative.
     """
 
     p: int
@@ -141,6 +142,10 @@ class ScenarioConfig:
     def __post_init__(self):
         if min(self.p, self.n) < 3:
             raise ValueError(f"min(p, n) = {min(self.p, self.n)} < 3")
+        if self.p > linalg.MAX_DIM:
+            raise ValueError(f"dimension {self.p} exceeds the dense cap {linalg.MAX_DIM}")
+        if self.master_seed < 0:
+            raise ValueError("master_seed must be nonnegative")
         if self.replicates < 1:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
         check_unique_labels(self.estimators)

@@ -37,8 +37,25 @@ def _ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     return ticks
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.2f}"
+def _fmt(v) -> str:
+    """A coordinate: an int as is, any other number at two decimals."""
+    return str(v) if isinstance(v, int) else f"{v:.2f}"
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#333", width: int = 1, extra: str = "") -> str:
+    return (
+        f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+        f'stroke="{stroke}" stroke-width="{width}"{extra}/>'
+    )
+
+
+def _text(x, y, body: str, size: int, fill: str, anchor: str = "middle", extra: str = "") -> str:
+    """anchor "" leaves text-anchor out."""
+    anchor_attr = f' text-anchor="{anchor}"' if anchor else ""
+    return (
+        f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor_attr} font-family="sans-serif" '
+        f'font-size="{size}" fill="{fill}"{extra}>{escape(body)}</text>'
+    )
 
 
 def line_chart(
@@ -57,18 +74,15 @@ def line_chart(
     if not series:
         raise ValueError("at least one series is required")
     xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
+    ys_all = [y for _, _, ys in series for y in ys] + ([] if ref_y is None else [ref_y])
     if not xs_all:
         raise ValueError("series contain no points")
-    if ref_y is not None:
-        ys_all = ys_all + [ref_y]
     x_lo, x_hi = min(xs_all), max(xs_all)
     y_lo, y_hi = min(ys_all), max(ys_all)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     pad = 0.05 * (y_hi - y_lo) or 1.0
-    y_lo -= pad
-    y_hi += pad
+    y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = _WIDTH - _MARGIN_LEFT - _MARGIN_RIGHT
     plot_h = _HEIGHT - _MARGIN_TOP - _MARGIN_BOTTOM
@@ -85,63 +99,31 @@ def line_chart(
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
     ]
     if title:
-        parts.append(
-            f'<text x="{_WIDTH / 2:.0f}" y="22" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222">{escape(title)}</text>'
-        )
+        parts.append(_text(_WIDTH // 2, 22, title, 15, "#222"))
     # axes
     ax_bottom = _MARGIN_TOP + plot_h
     ax_right = _MARGIN_LEFT + plot_w
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{ax_bottom}" x2="{ax_right}" y2="{ax_bottom}" '
-        f'stroke="#333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{_MARGIN_LEFT}" y1="{_MARGIN_TOP}" x2="{_MARGIN_LEFT}" y2="{ax_bottom}" '
-        f'stroke="#333" stroke-width="1"/>'
-    )
+    parts.append(_line(_MARGIN_LEFT, ax_bottom, ax_right, ax_bottom))
+    parts.append(_line(_MARGIN_LEFT, _MARGIN_TOP, _MARGIN_LEFT, ax_bottom))
     for t in _ticks(x_lo, x_hi):
         x = px(t)
-        parts.append(
-            f'<line x1="{_fmt(x)}" y1="{ax_bottom}" x2="{_fmt(x)}" y2="{ax_bottom + 5}" '
-            f'stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(x)}" y="{ax_bottom + 19}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11" fill="#333">{t:.4g}</text>'
-        )
+        parts.append(_line(x, ax_bottom, x, ax_bottom + 5))
+        parts.append(_text(x, ax_bottom + 19, f"{t:.4g}", 11, "#333"))
     for t in _ticks(y_lo, y_hi):
         y = py(t)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT - 5}" y1="{_fmt(y)}" x2="{_MARGIN_LEFT}" y2="{_fmt(y)}" '
-            f'stroke="#333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11" fill="#333">{t:.4g}</text>'
-        )
+        parts.append(_line(_MARGIN_LEFT - 5, y, _MARGIN_LEFT, y))
+        parts.append(_text(_MARGIN_LEFT - 8, y + 4, f"{t:.4g}", 11, "#333", "end"))
     if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN_LEFT + plot_w / 2:.0f}" y="{_HEIGHT - 12}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#222">{escape(xlabel)}</text>'
-        )
+        parts.append(_text(_MARGIN_LEFT + plot_w // 2, _HEIGHT - 12, xlabel, 12, "#222"))
     if ylabel:
-        parts.append(
-            f'<text x="16" y="{_MARGIN_TOP + plot_h / 2:.0f}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#222" '
-            f'transform="rotate(-90 16 {_MARGIN_TOP + plot_h / 2:.0f})">{escape(ylabel)}</text>'
-        )
+        mid_y = _MARGIN_TOP + plot_h // 2
+        rotate = f' transform="rotate(-90 16 {mid_y})"'
+        parts.append(_text(16, mid_y, ylabel, 12, "#222", extra=rotate))
     if ref_y is not None:
         y = py(ref_y)
-        parts.append(
-            f'<line x1="{_MARGIN_LEFT}" y1="{_fmt(y)}" x2="{ax_right}" y2="{_fmt(y)}" '
-            f'stroke="#888" stroke-width="1" stroke-dasharray="6 4"/>'
-        )
+        parts.append(_line(_MARGIN_LEFT, y, ax_right, y, "#888", extra=' stroke-dasharray="6 4"'))
         if ref_label:
-            parts.append(
-                f'<text x="{ax_right - 4}" y="{_fmt(y - 5)}" text-anchor="end" '
-                f'font-family="sans-serif" font-size="11" fill="#666">{escape(ref_label)}</text>'
-            )
+            parts.append(_text(ax_right - 4, y - 5, ref_label, 11, "#666", "end"))
     for i, (label, xs, ys) in enumerate(series):
         if len(xs) != len(ys):
             raise ValueError(f"series {label!r}: {len(xs)} x values vs {len(ys)} y values")
@@ -160,15 +142,8 @@ def line_chart(
         f'stroke="#ccc" stroke-width="0.5"/>'
     )
     for i, (label, _, _) in enumerate(series):
-        color = PALETTE[i % len(PALETTE)]
         y = legend_y + i * row_h
-        parts.append(
-            f'<line x1="{legend_x}" y1="{y}" x2="{legend_x + 22}" y2="{y}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{legend_x + 28}" y="{y + 4}" font-family="sans-serif" '
-            f'font-size="11" fill="#222">{escape(label)}</text>'
-        )
+        parts.append(_line(legend_x, y, legend_x + 22, y, PALETTE[i % len(PALETTE)], 2))
+        parts.append(_text(legend_x + 28, y + 4, label, 11, "#222", ""))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

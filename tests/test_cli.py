@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import textwrap
@@ -122,6 +123,39 @@ def test_parse_module_docstring_config_example():
     (cfg,) = manifest.scenarios
     assert cfg.cov == Spiked()
     assert [e.label for e in cfg.estimators] == ["usual", "js(0.375)", "js+(0.375)"]
+
+
+def test_docs_name_exactly_the_config_keys():
+    """The module docstring's "Scenario keys" list and README's ini block
+    name exactly the keys of the parser tables."""
+    listed = re.search(r"Scenario keys: (.*?)\.", cli.__doc__, re.S).group(1)
+    assert [re.sub(r"\(.*\)", "", k).strip() for k in listed.split(",")] == list(cli._SCENARIO_KEYS)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    block = re.search(r"```ini\n(.*?)```", readme.read_text(encoding="utf-8"), re.S).group(1)
+    (_, _, global_keys), (_, _, scenario_keys) = cli._split_sections(block)
+    assert set(global_keys) == set(cli._GLOBAL_KEYS)
+    assert set(scenario_keys) == set(cli._SCENARIO_KEYS)
+
+
+@pytest.mark.parametrize("name", sorted(cli._COVARIANCES))
+def test_every_covariance_name_parses_and_takes_rho_iff_its_model_has_one(name):
+    """rho is accepted, and checked by the model, exactly where the model has
+    a rho field; otherwise the model's default is built."""
+    model = cli._COVARIANCES[name]
+    text = f"[s]\np = 4\nn = 3\ncov = {name}\n"
+    assert parse_config(text).scenarios[0].cov == model()
+    if "rho" in {f.name for f in dataclasses.fields(model)}:
+        assert parse_config(text + "rho = -0.25\n").scenarios[0].cov == model(-0.25)
+        expect_error(text + "rho = 1\n", "|rho| < 1", line=5)
+    else:
+        expect_error(text + "rho = 0.25\n", "only meaningful", line=5)
+
+
+def test_unknown_covariance_message_lists_table_names():
+    with pytest.raises(ConfigError) as exc:
+        parse_config("[s]\np = 4\nn = 3\ncov = toeplitz\n")
+    listed = re.search(r"\(use (.*)\)", str(exc.value)).group(1).split(", ")
+    assert set(listed) <= set(cli._COVARIANCES)
 
 
 def expect_error(text, fragment, line=None):
@@ -351,9 +385,33 @@ def test_run_replicates_override(tmp_path):
     assert lines[1].split(",")[6] == "7"
 
 
+def test_replicates_override_keeps_theta_direction_bits(monkeypatch, tmp_path):
+    """The override runs the scenario that `replicates = N` in the config
+    gives. At p = 10 the unit theta_direction has norm 1 - 1 ulp, so
+    normalising it a second time would move it."""
+    from mpshrink import risk
+
+    assert np.linalg.norm(np.ones(10) / np.sqrt(10)) != 1.0
+    directions = []
+    curve = risk.risk_curve
+
+    def spy(cfg, jobs=1):
+        directions.append(cfg.theta_direction.tobytes())
+        return curve(cfg, jobs=jobs)
+
+    monkeypatch.setattr(risk, "risk_curve", spy)
+    text = "[s]\np = 10\nn = 5\ncov = identity\ntheta_norms = 0, 3\nreplicates = {}\n"
+    assert run(parse_config(text.format(40)), out_dir=str(tmp_path / "config")) == 0
+    flag = run(parse_config(text.format(7)), replicates_override=40, out_dir=str(tmp_path / "flag"))
+    assert flag == 0
+    assert directions[0] == directions[1]
+    csv = [(tmp_path / d / "s.csv").read_bytes() for d in ("config", "flag")]
+    assert csv[0] == csv[1]
+
+
 def test_run_continues_past_failing_scenario(tmp_path, capsys):
     text = (
-        "[bad]\np = 600\nn = 600\ncov = identity\ntheta_norms = 0\nreplicates = 5\n"
+        "[bad]\np = 5\nn = 5\ncov = block\ntheta_norms = 0\nreplicates = 5\n"
         "[good]\np = 4\nn = 3\ncov = identity\ntheta_norms = 0\nreplicates = 5\n"
     )
     code = run(parse_config(text), out_dir=str(tmp_path))
@@ -364,7 +422,7 @@ def test_run_continues_past_failing_scenario(tmp_path, capsys):
     assert len(err_lines) == 1
     record = json.loads(err_lines[0])
     assert record["scenario"] == "bad"
-    assert "600" in record["error"]
+    assert "even dimension, got p=5" in record["error"]
 
 
 # -------------------------------------------------------------------- verify
@@ -457,8 +515,15 @@ def test_main_missing_config(capsys):
         ("[s]\np = 4\nn = 3\ncov = identity\ntheta_norms = nan\n", "line 5: theta_norms:"),
         ("[s]\np = 4\nn = 3\ncov = identity\ntheta_direction = 1, 0, nan, 0\n",
          "line 5: theta_direction:"),
+        ("[global]\nmaster_seed = -3\n[s]\np = 4\nn = 3\ncov = identity\n",
+         "line 3: scenario 's': master_seed must be nonnegative"),
+        ("[s]\np = 600\nn = 4\ncov = identity\n",
+         "line 1: scenario 's': dimension 600 exceeds the dense cap 512"),
     ],
-    ids=["missing-key", "js-negative", "js-nan", "js+-inf", "theta-inf", "theta-nan", "direction-nan"],
+    ids=[
+        "missing-key", "js-negative", "js-nan", "js+-inf", "theta-inf", "theta-nan",
+        "direction-nan", "seed-negative", "p-over-cap",
+    ],
 )
 def test_main_bad_config(tmp_path, capsys, text, fragment):
     cfg = tmp_path / "c.cfg"

@@ -1,14 +1,14 @@
 """Golden-bytes checks of `mpshrink run` and `mpshrink verify`.
 
-The files under golden/figure1-2100 are the CSVs that six figure1.cfg
-sections write at --replicates 2100 (two chunks): one each of p10-n5,
+The files under golden/figure1-2100 are the CSVs and SVG charts that six
+figure1.cfg sections write at --replicates 2100 (two chunks): one each of p10-n5,
 p10-n9, p20-n10, p20-n19, p50-n25 and p50-n49, covering the three
 covariance shapes, n = p/2 and n = p-1 on the solve side of the kernel,
 the largest p, where the theta sweep does the most arithmetic, and
 p50-n49, nearest the Marchenko-Pastur edge, where lambda_min(G) is
 smallest against the full-rank certificate's shift. A change that claims to keep the
 output bytes must keep these, at any --jobs. To re-pin them after a change
-that moves the bytes on purpose, run the same sections and copy the CSVs.
+that moves the bytes on purpose, run the same sections and copy the files.
 
 golden/verify-1000/identities.csv is what `mpshrink verify --replicates 1000
 --configs 1` writes: the finite-difference identities at one configuration
@@ -51,13 +51,14 @@ def figure1_subset() -> str:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_matches_golden_csv_bytes(jobs, tmp_path):
+    """The CSVs, and the SVG charts figure1.cfg's emit_svg asks for."""
     config = tmp_path / "figure1-subset.cfg"
     config.write_text(figure1_subset(), encoding="utf-8")
     out = tmp_path / "out"
     rc = main(["run", str(config), "--replicates", "2100", "--jobs", str(jobs), "--out", str(out)])
     assert rc == 0
-    names = sorted(path.name for path in out.glob("*.csv"))
-    assert names == sorted(f"{name}.csv" for name in SECTIONS)
+    names = sorted(path.name for path in out.iterdir())
+    assert names == sorted(f"{name}.{ext}" for name in SECTIONS for ext in ("csv", "svg"))
     changed = [name for name in names if (out / name).read_bytes() != (GOLDEN / name).read_bytes()]
     assert not changed, changed
 

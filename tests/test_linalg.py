@@ -814,17 +814,36 @@ def test_certificate_bound_holds_at_the_shift(p, n):
     assert 0 < certified < 401
 
 
-def test_certificate_where_t_squared_overflows():
-    """|Y| ~ 1e153 keeps YY' finite but makes t = 2^512, whose square
-    overflows; the exact scaling by (1/t)^2 still certifies the stack."""
+def test_certificate_at_the_largest_finite_gram():
+    """Each entry's largest G_ii is 8.5e307, just below the 2^1023 that
+    (G + G')/2 keeps finite, so tr G overflows while G does not: t is
+    2^511, the largest scale a finite G gives, and the stack certifies
+    with a valid bound."""
     y, _, _, _ = designed_stack(np.random.default_rng(4), 10, 5, [1.0, 1.0], 0)
-    # tr G = 1.3e308, each G_ii about a fifth of it.
-    y *= np.sqrt(1.3e308) / np.linalg.norm(y, axis=(1, 2), keepdims=True)
+    y *= np.sqrt(8.5e307 / np.einsum("rij,rij->ri", y, y).max(axis=1))[:, None, None]
+    with np.errstate(over="ignore"):
+        assert np.all(np.isinf(np.einsum("rij,rij->r", y, y)))
     factor = factor_stack(y)
-    assert np.all(factor.scale == 2.0**512)
+    assert np.all(factor.scale == 2.0**511)
     rank, lam = exact_spectrum(factor, 10)
     assert factor.certified and np.all(rank == 5)
     assert np.all(factor.lam_bound >= lam)
+
+
+def test_factor_stack_scale_survives_an_overflowing_trace():
+    """Y = 2e153 N(0, 1): entry 1's tr G overflows while G stays finite.
+    F, P_S x and S+ x match those of the 2^-510-scaled stack on both
+    entries (S+ x scales by 2^-1020, F too as x stays unscaled)."""
+    rng = np.random.default_rng(0)
+    y = 2e153 * rng.standard_normal((2, 5, 10))
+    x = rng.standard_normal((2, 10))
+    with np.errstate(over="ignore"):
+        assert list(np.isinf(np.einsum("rij,rij->r", y, y))) == [False, True]
+    big = apply_factor(factor_stack(y), x)
+    small = apply_factor(factor_stack(y * 2.0**-510), x)
+    assert rel_diff(big.spx * 2.0**1020, small.spx) <= 1e-12
+    assert rel_diff(big.f * 2.0**1020, small.f) <= 1e-12
+    assert rel_diff(big.psx, small.psx) <= 1e-12
 
 
 def test_factor_stack_peak_memory_is_g_plus_slabs():
