@@ -137,12 +137,10 @@ def f_degenerate(f, x_sq, rank, psx_norm, lam_max_pinv):
     Works elementwise on arrays and on scalars; the Monte-Carlo engine and
     estimate() share this rule so their outputs agree replicate by replicate.
     """
-    return np.logical_or.reduce(
-        (
-            np.asarray(rank) == 0,
-            np.asarray(psx_norm) == 0.0,
-            np.asarray(f) <= DEGENERATE_F_FACTOR * np.asarray(x_sq) * np.asarray(lam_max_pinv),
-        )
+    return (
+        (np.asarray(rank) == 0)
+        | (np.asarray(psx_norm) == 0.0)
+        | (np.asarray(f) <= DEGENERATE_F_FACTOR * np.asarray(x_sq) * np.asarray(lam_max_pinv))
     )
 
 

@@ -23,8 +23,8 @@ MAX_DIM = 512
 # floating-point noise before it is rejected.
 PSD_SLACK = 1e-8
 
-# Stack-sized temporaries are built this many entries at a time.
-SLAB = 256
+# Stack-sized temporaries are built about this many bytes at a time.
+SLAB_BYTES = 1 << 18
 
 
 class DimensionMismatchError(ValueError):
@@ -290,12 +290,18 @@ def check_finite(a: np.ndarray, what: str) -> None:
 
 
 def _sym_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The stack a @ b symmetrised as (M + M')/2, in place and SLAB entries
-    at a time, so that no second stack of its size is ever held."""
+    """The stack a @ b symmetrised as (M + M')/2, in place and one slab of
+    about SLAB_BYTES at a time, so that no second stack of its size is ever
+    held. A slab that came out exactly symmetric is left as it is: there
+    (M + M')/2 is M bit for bit, save entries above DBL_MAX/2, which it
+    would overflow."""
     m = a @ b
-    for i in range(0, len(m), SLAB):
-        slab = m[i : i + SLAB]
-        slab[...] = (slab + slab.transpose(0, 2, 1)) / 2.0
+    step = max(1, SLAB_BYTES // m[0].nbytes)
+    for i in range(0, len(m), step):
+        slab = m[i : i + step]
+        mt = slab.transpose(0, 2, 1)
+        if not np.array_equal(slab, mt):
+            slab[...] = (slab + mt) / 2.0
     return m
 
 
@@ -360,16 +366,17 @@ def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
     Near the Marchenko-Pastur edge |G|_F is about 4x below tr G, the other
     cheap bound on lambda_max, so it misses far fewer full-rank draws. The
     exact 1/t^2 keeps H and phi's squares of order 1 for any |Y|. H is
-    built and factored one SLAB at a time, the shift subtracted on its
+    built and factored one slab at a time, the shift subtracted on its
     diagonal view, so no second stack of g's size is held.
     """
     rel_tol = default_rel_tol(p)
     inv_t2 = (1.0 / t) ** 2
     phi = np.empty(len(g))
-    for i in range(0, len(g), SLAB):
-        h = g[i : i + SLAB] * inv_t2[i : i + SLAB, None, None]
-        phi[i : i + SLAB] = np.sqrt(np.einsum("rij,rij->r", h, h))
-        np.einsum("rii->ri", h)[...] -= 2.0 * rel_tol * phi[i : i + SLAB, None]
+    step = max(1, SLAB_BYTES // g[0].nbytes)
+    for i in range(0, len(g), step):
+        h = g[i : i + step] * inv_t2[i : i + step, None, None]
+        phi[i : i + step] = np.sqrt(np.einsum("rij,rij->r", h, h))
+        np.einsum("rii->ri", h)[...] -= 2.0 * rel_tol * phi[i : i + step, None]
         try:
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
@@ -395,9 +402,8 @@ def factor_stack(y_stack) -> PinvFactor:
     """
     y = _nonempty_stack(y_stack, "(R, n, p)")
     _, n, p = y.shape
-    yt = y.transpose(0, 2, 1)
     if n < p:
-        g = _sym_product(y, yt)
+        g = _sym_product(y, y.transpose(0, 2, 1))
         # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
         check_finite(g, "YY'")
         # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
@@ -410,7 +416,14 @@ def factor_stack(y_stack) -> PinvFactor:
         _, _, _, rank, lam_max_pinv = _batch_spectrum(g, default_rel_tol(p), vectors=False)
         if np.all(rank == n):
             return PinvFactor(rank, lam_max_pinv, gram=g, y=y, scale=t)
-    return _square_factor(_sym_product(yt, y))
+    return square_factor(y)
+
+
+def square_factor(y_stack) -> PinvFactor:
+    """factor_stack on the p x p side whatever n: S_i = Y_i'Y_i symmetrised
+    and eigendecomposed."""
+    y = _nonempty_stack(y_stack, "(R, n, p)")
+    return _square_factor(_sym_product(y.transpose(0, 2, 1), y))
 
 
 def _factor_shape(factor: PinvFactor) -> tuple[int, int]:
@@ -446,9 +459,10 @@ def factor_coords(factor: PinvFactor, x_stack) -> tuple[np.ndarray, np.ndarray]:
 
 
 def f_from_coords(factor: PinvFactor, c) -> np.ndarray:
-    """F = x'S+x from one (R, .) slice of factor_coords' c: sum c^2 on the
-    solve side, sum c^2 w+ on the p x p side."""
-    return np.einsum("rk,rk->r", c * factor.inv_w if factor.y is None else c, c)
+    """F = x'S+x from coordinates c of shape (..., R, .), such as one (R, .)
+    slice of factor_coords' c: sum c^2 on the solve side, sum c^2 w+ on the
+    p x p side."""
+    return np.einsum("...k,...k->...", c * factor.inv_w if factor.y is None else c, c)
 
 
 def apply_factor(factor: PinvFactor, x_stack) -> BatchPinvApply:

@@ -207,7 +207,7 @@ def sample_wishart(n: int, sigma, rng) -> WishartDraw:
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx), reproduced so
 # that a chunk's streams are hashed in bulk; NEP 19 keeps it stable across
-# numpy releases, and batch_standard_normal checks it once per call.
+# numpy releases, and StreamReader checks it once per opening.
 _POOL_SIZE = 4
 _MASK32 = 0xFFFFFFFF
 _XSHIFT = 16
@@ -310,35 +310,63 @@ def _stream_words_type() -> type:
     return StreamWords
 
 
+class StreamReader:
+    """Streams (master_seed, start + j), j < count, opened once and read in
+    order: read(width, lo, hi) gives the next width standard normals of rows
+    lo .. hi-1, and as numpy's ziggurat keeps no state between calls, a
+    stream read in several calls gives the variates of one call. The words
+    are hashed for the whole block and each row's PCG64 seeds itself from
+    its own. Row 0 is checked against RngStream.generator(), the reference,
+    on its words at opening and on every variate read; a mismatch raises
+    RuntimeError rather than letting the variates drift.
+    """
+
+    def __init__(self, master_seed: int, start: int, count: int):
+        self.stream = RngStream(master_seed, start)
+        if count < 0:
+            raise ValueError(f"count must be nonnegative, got {count}")
+        self.start, self.count = start, count
+        words = _stream_words(int(master_seed), int(start), count)
+        rows = _stream_words_type()(words)
+        self._rows = [np.random.Generator(np.random.PCG64(rows)) for _ in range(count)]
+        if count:
+            self._reference = self.stream.generator()
+            seq = self._reference.bit_generator.seed_seq
+            self._check(np.array_equal(words[0], seq.generate_state(_POOL_SIZE, np.uint64)))
+
+    def _check(self, agrees: bool) -> None:
+        if not agrees:
+            raise RuntimeError(
+                f"bulk stream opening disagrees with numpy {np.__version__}'s SeedSequence "
+                f"for stream (master_seed={self.stream.master_seed}, stream_id={self.start})"
+            )
+
+    def read(self, width: int, lo: int = 0, hi: int | None = None, out=None) -> np.ndarray:
+        if width < 0:
+            raise ValueError(f"width must be nonnegative, got {width}")
+        hi = self.count if hi is None else hi
+        z = np.empty((hi - lo, width)) if out is None else out
+        for g, row in zip(self._rows[lo:hi], z):
+            g.standard_normal(out=row)
+        if lo == 0 and len(z):
+            self._check(np.array_equal(z[0], self._reference.standard_normal(width)))
+        return z
+
+
 def batch_standard_normal(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
     """(count, width) array whose row j is the first width standard normals
-    of stream (master_seed, start + j).
+    of stream (master_seed, start + j), read from one StreamReader."""
+    return StreamReader(master_seed, start, count).read(width)
 
-    The streams' SeedSequence words are hashed for the whole block at once
-    and each row's PCG64 seeds itself from its words. Row 0 is checked against
-    RngStream.generator(), the reference, on its words and its variates; a
-    mismatch raises RuntimeError rather than letting the variates drift.
-    """
-    stream = RngStream(master_seed, start)
-    for name, value in (("count", count), ("width", width)):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative, got {value}")
-    z = np.empty((count, width))
-    if count == 0:
-        return z
-    words = _stream_words(int(master_seed), int(start), count)
-    rows = _stream_words_type()(words)
-    for out in z:
-        np.random.Generator(np.random.PCG64(rows)).standard_normal(out=out)
-    reference = stream.generator()
-    expected = reference.bit_generator.seed_seq.generate_state(_POOL_SIZE, np.uint64)
-    variates = reference.standard_normal(width)
-    if not (np.array_equal(words[0], expected) and np.array_equal(z[0], variates)):
-        raise RuntimeError(
-            f"bulk stream opening disagrees with numpy {np.__version__}'s SeedSequence "
-            f"for stream (master_seed={master_seed}, stream_id={start})"
-        )
-    return z
+
+def wishart_slab(streams: StreamReader, n: int, sqrt_sigma: np.ndarray, lo: int, hi: int, work):
+    """Y_i of shape (hi - lo, n, p) for rows lo .. hi-1 of opened streams:
+    the next n*p variates of each row (row-major) as n rows z A. work is a
+    pair of buffers of at least hi - lo rows, shaped (., n*p) and (., n, p),
+    that the variates and Y are written into; Y is a view of the second."""
+    p, rows = sqrt_sigma.shape[0], hi - lo
+    z = streams.read(n * p, lo, hi, out=work[0][:rows])
+    return np.matmul(z.reshape(rows, n, p), sqrt_sigma, out=work[1][:rows])
 
 
 def batch_normal_wishart(

@@ -31,6 +31,9 @@ from .estimators import (
 # thread counts.
 CHUNK = 2048
 
+# run_study draws and factors Y in slabs of about this many bytes of variates.
+SLAB_BYTES = 1 << 20
+
 
 def map_chunks(total: int, body: Callable[[int, int], object], jobs: int = 1) -> None:
     """The one chunk loop of every Monte-Carlo engine: body(start, stop) on
@@ -95,7 +98,7 @@ def batch_geometry(x, y) -> tuple[linalg.BatchPinvApply, np.ndarray]:
 
 
 def _rowdot(a, b) -> np.ndarray:
-    return np.einsum("ri,ri->r", a, b)
+    return np.einsum("...i,...i->...", a, b)
 
 
 def _degenerate(x, f, psx, factor: linalg.PinvFactor) -> np.ndarray:
@@ -103,7 +106,7 @@ def _degenerate(x, f, psx, factor: linalg.PinvFactor) -> np.ndarray:
     is >= the exact value, so its mask holds the exact rule's; only when it
     flags a draw of a certified factor is the rule evaluated again at the
     exact lambda_max(S+)."""
-    x_sq, psx_norm = _rowdot(x, x), np.linalg.norm(psx, axis=1)
+    x_sq, psx_norm = _rowdot(x, x), np.linalg.norm(psx, axis=-1)
     degen = f_degenerate(f, x_sq, factor.rank, psx_norm, factor.lam_bound)
     if factor.certified and degen.any():
         degen = f_degenerate(f, x_sq, factor.rank, psx_norm, factor.lam_max_pinv)
@@ -125,8 +128,9 @@ class ScenarioConfig:
 
     theta_direction defaults to the equal-weights unit vector; theta_norms
     defaults to the study grid {0, 0.5, ..., 6} * sqrt(p). Both must be
-    finite, and no two estimators may share a label. p may not exceed
-    linalg.MAX_DIM, and master_seed must be nonnegative.
+    finite, and no two estimators may share a label. cov must build at p
+    (p at most linalg.MAX_DIM, even for spiked and block-diagonal), and
+    master_seed must be nonnegative.
     """
 
     p: int
@@ -142,8 +146,7 @@ class ScenarioConfig:
     def __post_init__(self):
         if min(self.p, self.n) < 3:
             raise ValueError(f"min(p, n) = {min(self.p, self.n)} < 3")
-        if self.p > linalg.MAX_DIM:
-            raise ValueError(f"dimension {self.p} exceeds the dense cap {linalg.MAX_DIM}")
+        randgen.build_covariance(self.cov, self.p)
         if self.master_seed < 0:
             raise ValueError("master_seed must be nonnegative")
         if self.replicates < 1:
@@ -205,20 +208,30 @@ def run_study(
     sure_r is given, (theta, replicate) and degenerate (theta,).
 
     Replicate i reads stream (cfg.master_seed, i): p variates for X, then
-    n*p for Y. Each chunk of replicates is drawn and its S = Y'Y factored
-    once; only X = theta + z_x Sigma^{1/2} changes along the theta loop.
-    With z = z_x Sigma^{1/2} and u = cfg.theta_direction, an estimate is
-    d = X + a P_S X with a = (shrink factor - 1), so
+    n*p for Y. Each chunk of replicates opens its streams once and draws
+    and factors its Y = Z A, A = Sigma^{1/2}, once; only X = theta + z_x A
+    changes along the theta loop. With z = z_x A and u =
+    cfg.theta_direction, an estimate is d = X + a P_S X with a = (shrink
+    factor - 1), so
 
         (d - theta)' Sigma^-1 (d - theta) = q_zz + a (2 q_zp + a q_pp)
 
     with q_zz = z'Sigma^-1 z, q_zp = z'Sigma^-1 P_S X and
     q_pp = (P_S X)'Sigma^-1 P_S X. P_S X and the factor coordinates that
-    give F are linear in X, so each chunk applies the factor to z and to u
-    once (one solve with both as right-hand sides) and the theta loop only
+    give F are linear in X, so the factor is applied to z and to u once
+    (one solve with both as right-hand sides) and the theta loop only
     combines them. When sure_r is given, the unbiased risk-difference
     integrand for that curve is evaluated on the same draws (a degenerate F
     aborts the run, naming the replicate).
+
+    Y is drawn and factored in slabs of about SLAB_BYTES of variates, the F
+    and mask of every theta taken at once while a slab's factor lives, so a
+    thread holds per-replicate vectors and one slab's work (its theta arrays
+    theta x rows x p), not CHUNK * n * p numbers. Work per
+    matrix or per row has the same bits in any slab; a 2-D product over
+    rows need not (BLAS picks its kernel by the row count), so z_x A,
+    z Sigma^-1 and P_S X Sigma^-1 are products over the whole chunk. A draw
+    of rank below n sends the whole chunk, redrawn, to the p x p side.
     Each chunk is one map_chunks body, run on `jobs` threads when jobs > 1;
     chunk boundaries and the reduction order never change, so results are
     independent of jobs.
@@ -234,45 +247,66 @@ def run_study(
     uncertified: list[int] = []
     fallbacks: list[int] = []
 
+    p, n, u = cfg.p, cfg.n, cfg.theta_direction
+    tns = np.array(norms)[:, None, None]
+    rows = max(1, SLAB_BYTES // (8 * p * max(n, p)))
+
     def body(start: int, stop: int) -> None:
+        count = stop - start
+        streams = randgen.StreamReader(cfg.master_seed, start, count)
         # Drawn at theta = 0: theta + (0 + z_x A) equals a draw made at theta.
-        noise, y = randgen.batch_normal_wishart(
-            cfg.p, cfg.n, np.zeros(cfg.p), sqrt_sigma, cfg.master_seed, start, stop - start
-        )
-        factor = linalg.factor_stack(y)
-        if cfg.n < cfg.p and not factor.certified:
-            uncertified.append(start)
-            if factor.gram is None:
-                fallbacks.append(start)
-        # z and u go through the factor together: one solve, two right-hand sides.
-        both = np.stack([noise, np.broadcast_to(cfg.theta_direction, noise.shape)], axis=1)
-        c, psx_both = linalg.factor_coords(factor, both)
-        c_noise, c_dir = c[:, 0], c[:, 1]
-        psx_noise, psx_dir = psx_both[:, 0], psx_both[:, 1]
+        noise = streams.read(p) @ sqrt_sigma
         nsi = noise @ sigma_inv
         q_zz = _rowdot(nsi, noise)
+        f = np.empty((len(norms), count))
+        psx_noise, psx_dir, rank = np.empty((count, p)), np.empty((count, p)), np.empty(count)
+        # One slab's variates and Y, reused slab after slab: fresh pages fault in serially.
+        work = np.empty((min(rows, count), n * p)), np.empty((min(rows, count), n, p))
+        square, certified, lo = n >= p, True, 0
+        while lo < count:
+            hi = min(lo + rows, count)
+            y = randgen.wishart_slab(streams, n, sqrt_sigma, lo, hi, work)
+            factor = linalg.square_factor(y) if square else linalg.factor_stack(y)
+            if not (square or factor.certified):
+                certified = False
+                if factor.gram is None:
+                    # A draw of rank below n: the whole chunk takes the p x p
+                    # side, drawn again from reopened streams.
+                    fallbacks.append(start)
+                    square, lo = True, 0
+                    streams = randgen.StreamReader(cfg.master_seed, start, count)
+                    streams.read(p)
+                    continue
+            # z and u go through the factor together: one solve, two right-hand sides.
+            both = np.stack([noise[lo:hi], np.broadcast_to(u, (hi - lo, p))], axis=1)
+            c, psx_both = linalg.factor_coords(factor, both)
+            psx_noise[lo:hi], psx_dir[lo:hi] = psx_both[:, 0], psx_both[:, 1]
+            rank[lo:hi] = factor.rank
+            # Every theta at once, broadcast along a leading theta axis.
+            x = tns * u + noise[lo:hi]
+            linalg.check_finite(x.transpose(1, 0, 2), "x")
+            f[:, lo:hi] = linalg.f_from_coords(factor, c[:, 0] + tns * c[:, 1])
+            psx = psx_noise[lo:hi] + tns * psx_dir[lo:hi]
+            degenerate[:, start + lo : start + hi] = _degenerate(x, f[:, lo:hi], psx, factor)
+            lo = hi
+        if not certified:
+            uncertified.append(start)
         for t, tn in enumerate(norms):
-            x = tn * cfg.theta_direction + noise
-            linalg.check_finite(x, "x")
-            f = linalg.f_from_coords(factor, c_noise + tn * c_dir)
+            degen = degenerate[t, start:stop]
+            f_safe = np.where(degen, 1.0, f[t])
             psx = psx_noise + tn * psx_dir
-            degen = _degenerate(x, f, psx, factor)
-            degenerate[t, start:stop] = degen
-            f_safe = np.where(degen, 1.0, f)
             two_q_zp = 2.0 * _rowdot(nsi, psx)
             q_pp = _rowdot(psx @ sigma_inv, psx)
             for k, spec in enumerate(specs):
                 # Degenerate draws keep x: their factor minus one is zero.
-                sf = 1.0 - spec.r.value(f) / f_safe
+                sf = 1.0 - spec.r.value(f[t]) / f_safe
                 a = np.where(degen, 0.0, sf - 1.0)
                 losses[t, k, start:stop] = q_zz + a * (two_q_zp + a * q_pp)
             if sure_r is not None:
                 if degen.any():
                     i = start + int(np.argmax(degen))
                     raise DegenerateFError(f"degenerate F at replicate {i}, |theta| = {tn:g}")
-                sure[t, start:stop] = _risk_difference(
-                    sure_r, f, factor.rank.astype(float), cfg.p, cfg.n
-                )
+                sure[t, start:stop] = _risk_difference(sure_r, f[t], rank, p, n)
 
     map_chunks(total, body, jobs)
     return ReplicateStudy(

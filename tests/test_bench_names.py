@@ -65,10 +65,11 @@ def test_every_package_name_the_worker_reaches_exists():
     assert not missing
 
 
-def test_threaded_study_records_one_chunk_span_with_one_draw_per_block(monkeypatch):
+def test_threaded_study_records_one_chunk_span_with_one_stream_open_per_block(monkeypatch):
     # The per-layer metrics read chunk work from `risk.chunk` spans, which
-    # the tracer's pool opens around each map_chunks body, and count chunks
-    # by their `randgen.draw` children.
+    # the tracer's pool opens around each map_chunks body. run_study opens
+    # each block's streams once, one `randgen.stream_open` child; it draws
+    # through randgen.StreamReader, so no `randgen.draw` span is recorded.
     monkeypatch.setattr(risk, "CHUNK", 16)
     spans = load_spans(monkeypatch)
     cfg = risk.ScenarioConfig(
@@ -84,5 +85,6 @@ def test_threaded_study_records_one_chunk_span_with_one_draw_per_block(monkeypat
     chunks = [s for s in recorded if s.name == "risk.chunk"]
     assert len(chunks) == 3
     for chunk in chunks:
-        draws = [s for s in recorded if s.name == "randgen.draw" and s.parent == chunk.sid]
-        assert len(draws) == 1
+        opens = [s for s in recorded if s.name == "randgen.stream_open" and s.parent == chunk.sid]
+        assert len(opens) == 1
+    assert not [s for s in recorded if s.name == "randgen.draw"]

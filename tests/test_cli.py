@@ -353,16 +353,16 @@ def test_run_reports_fallback_chunks_and_keeps_bytes_across_jobs(monkeypatch, tm
     # the p x p fallback while the other two chunks take the solve side.
     from mpshrink import randgen, risk
 
-    draw = randgen.batch_normal_wishart
+    draw = randgen.wishart_slab
 
-    def duplicated(p, n, theta, sqrt_sigma, seed, start, count):
-        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
-        if start <= 40 < start + count:
-            y[40 - start, -1] = y[40 - start, 0]
-        return x, y
+    def duplicated(streams, n, sqrt_sigma, lo, hi, work):
+        y = draw(streams, n, sqrt_sigma, lo, hi, work)
+        if lo <= 40 - streams.start < hi:
+            y[40 - streams.start - lo, -1] = y[40 - streams.start - lo, 0]
+        return y
 
     monkeypatch.setattr(risk, "CHUNK", 16)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", duplicated)
+    monkeypatch.setattr(randgen, "wishart_slab", duplicated)
     text = SMALL_RUN + "\n[wide]\np = 3\nn = 4\ncov = identity\nestimators = usual\n"
     out = {}
     for jobs in (1, 4):
@@ -409,9 +409,21 @@ def test_replicates_override_keeps_theta_direction_bits(monkeypatch, tmp_path):
     assert csv[0] == csv[1]
 
 
-def test_run_continues_past_failing_scenario(tmp_path, capsys):
+def test_run_continues_past_failing_scenario(monkeypatch, tmp_path, capsys):
+    # Every config error is caught by parse_config, so the first scenario's
+    # engine call is made to fail while it runs.
+    from mpshrink import risk
+
+    curve = risk.risk_curve
+
+    def failing(cfg, jobs=1):
+        if cfg.name == "bad":
+            raise ValueError(f"engine failed at p={cfg.p}")
+        return curve(cfg, jobs)
+
+    monkeypatch.setattr(risk, "risk_curve", failing)
     text = (
-        "[bad]\np = 5\nn = 5\ncov = block\ntheta_norms = 0\nreplicates = 5\n"
+        "[bad]\np = 5\nn = 5\ncov = ar\ntheta_norms = 0\nreplicates = 5\n"
         "[good]\np = 4\nn = 3\ncov = identity\ntheta_norms = 0\nreplicates = 5\n"
     )
     code = run(parse_config(text), out_dir=str(tmp_path))
@@ -422,7 +434,7 @@ def test_run_continues_past_failing_scenario(tmp_path, capsys):
     assert len(err_lines) == 1
     record = json.loads(err_lines[0])
     assert record["scenario"] == "bad"
-    assert "even dimension, got p=5" in record["error"]
+    assert record["error"] == "engine failed at p=5"
 
 
 # -------------------------------------------------------------------- verify
@@ -519,10 +531,14 @@ def test_main_missing_config(capsys):
          "line 3: scenario 's': master_seed must be nonnegative"),
         ("[s]\np = 600\nn = 4\ncov = identity\n",
          "line 1: scenario 's': dimension 600 exceeds the dense cap 512"),
+        ("[s]\np = 5\nn = 5\ncov = block\n",
+         "line 1: scenario 's': block-diagonal covariance needs an even dimension, got p=5"),
+        ("[global]\nreplicates = 50\n[t]\np = 7\nn = 4\ncov = spiked\n",
+         "line 3: scenario 't': spiked covariance needs an even dimension, got p=7"),
     ],
     ids=[
         "missing-key", "js-negative", "js-nan", "js+-inf", "theta-inf", "theta-nan",
-        "direction-nan", "seed-negative", "p-over-cap",
+        "direction-nan", "seed-negative", "p-over-cap", "block-odd-p", "spiked-odd-p",
     ],
 )
 def test_main_bad_config(tmp_path, capsys, text, fragment):

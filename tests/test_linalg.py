@@ -722,6 +722,27 @@ def exact_spectrum(factor, p):
     return rank, lam
 
 
+def designed_streams(x, y):
+    """A stand-in for randgen.StreamReader whose variates are the rows of x,
+    then those of Y: with Sigma = I, run_study draws exactly (x, Y)."""
+    r, n, p = y.shape
+
+    class Designed:
+        start = 0
+
+        def __init__(self, master_seed, start, count):
+            pass
+
+        def read(self, width, lo=0, hi=None, out=None):
+            z = x if width == p else y.reshape(r, n * p)[lo:hi]
+            if out is None:
+                return z.copy()
+            out[...] = z
+            return out
+
+    return Designed
+
+
 def run_study_mask(y, x):
     """The degenerate mask that run_study's theta loop applies at |theta| = 0
     to the given (x, Y) draws."""
@@ -730,13 +751,14 @@ def run_study_mask(y, x):
     masks = []
     degenerate = risk._degenerate
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(randgen, "batch_normal_wishart", lambda *args: (x.copy(), y))
+        mp.setattr(randgen, "StreamReader", designed_streams(x, y))
         mp.setattr(risk, "_degenerate", lambda *args: masks.append(degenerate(*args)) or masks[-1])
         # x almost in S's null space has a tiny F, so js's loss may overflow.
         with np.errstate(over="ignore"):
             study = risk.run_study(cfg, [JamesStein(1.0)], [0.0])
+    # One slab and one theta: the mask's shape is (theta, replicate).
     assert len(masks) == 1 and study.degenerate[0] == masks[0].sum()
-    return masks[0]
+    return masks[0][0]
 
 
 @settings(deadline=None, max_examples=150)
@@ -847,14 +869,14 @@ def test_factor_stack_scale_survives_an_overflowing_trace():
 
 
 def test_factor_stack_peak_memory_is_g_plus_slabs():
-    """factor_stack on a (2048, 49, 50) stack holds G and at most a few
-    SLAB-entry temporaries at once (tracemalloc sees numpy's buffers):
-    symmetrising G, the finite check and the shifted Cholesky all work one
-    slab at a time on the certified path."""
+    """factor_stack on a (2048, 49, 50) stack holds G, the finite check's
+    boolean mask of G and at most a few SLAB_BYTES temporaries at once
+    (tracemalloc sees numpy's buffers): symmetrising G and the shifted
+    Cholesky work one slab at a time on the certified path."""
     r, n, p = 2048, 49, 50
     y = np.random.default_rng(0).standard_normal((r, n, p))
     g_bytes = r * n * n * 8
-    slab_bytes = linalg.SLAB * n * n * 8
+    slab_bytes = linalg.SLAB_BYTES
     tracemalloc.start()
     try:
         factor = factor_stack(y)
@@ -862,7 +884,7 @@ def test_factor_stack_peak_memory_is_g_plus_slabs():
     finally:
         tracemalloc.stop()
     assert factor.certified
-    assert peak <= g_bytes + 4 * slab_bytes, (peak, g_bytes, slab_bytes)
+    assert peak <= g_bytes + g_bytes // 8 + 4 * slab_bytes, (peak, g_bytes, slab_bytes)
 
 
 def test_certified_path_never_reads_the_exact_value():
@@ -882,7 +904,7 @@ def test_certified_path_never_reads_the_exact_value():
 
     cfg = risk.ScenarioConfig(p=10, n=6, cov=randgen.Identity(), estimators=[], replicates=16)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(randgen, "batch_normal_wishart", lambda *args: (x.copy(), y))
+        mp.setattr(randgen, "StreamReader", designed_streams(x, y))
         mp.setattr(linalg, "factor_stack", recorded)
         study = risk.run_study(cfg, [Usual(), JamesStein(1.0)], [0.0, 1.0, 5.0])
     assert study.eigvalsh_chunks == 0 and not study.degenerate.any()

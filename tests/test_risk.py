@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -300,16 +301,17 @@ def test_sure_tracks_actual_risk_gap():
 # -------------------------------------------------------- chunk-major study
 
 
-def _count_draws(monkeypatch):
-    """Wrap randgen.batch_normal_wishart; returns the list of chunk starts."""
-    draw = randgen.batch_normal_wishart
+def _count_opens(monkeypatch):
+    """Wrap RngStream.generator, which opening a block of streams calls once
+    for its first stream; returns the list of chunk starts."""
+    opened = RngStream.generator
     starts = []
 
-    def counted(p, n, theta, sqrt_sigma, seed, start, count):
-        starts.append(start)
-        return draw(p, n, theta, sqrt_sigma, seed, start, count)
+    def counted(self):
+        starts.append(self.stream_id)
+        return opened(self)
 
-    monkeypatch.setattr(randgen, "batch_normal_wishart", counted)
+    monkeypatch.setattr(RngStream, "generator", counted)
     return starts
 
 
@@ -326,9 +328,9 @@ def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
         theta_norms=[0.0, 1.0, 4.0],
     )
     sure_r = constant_shrinkage(a)
-    starts = _count_draws(monkeypatch)
+    starts = _count_opens(monkeypatch)
     study = run_study(cfg, cfg.estimators, cfg.theta_norms, sure_r=sure_r, jobs=jobs)
-    # Each chunk is drawn once for the whole theta grid.
+    # Each chunk's streams are opened once for the whole theta grid.
     assert sorted(starts) == [0, 16, 32, 48]
     assert study.losses.shape == (3, 3, 50) and study.sure.shape == (3, 50)
     for t, tn in enumerate(cfg.theta_norms):
@@ -337,23 +339,36 @@ def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
         assert np.array_equal(study.sure[t], one.sure)
 
 
-def _zero_y_of(draw, i):
-    """batch_normal_wishart with every row of replicate i's Y zeroed, which
-    makes its S zero and its draw degenerate."""
+def _defect_draws(i, defect):
+    """randgen.wishart_slab, run_study's slab draw, and
+    randgen.batch_normal_wishart, the identity engines' draw, each with
+    defect applied in place to replicate i's Y."""
+    slab_draw, batch_draw = randgen.wishart_slab, randgen.batch_normal_wishart
 
-    def zeroed(p, n, theta, sqrt_sigma, seed, start, count):
-        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
+    def slab(streams, n, sqrt_sigma, lo, hi, work):
+        y = slab_draw(streams, n, sqrt_sigma, lo, hi, work)
+        if lo <= i - streams.start < hi:
+            defect(y[i - streams.start - lo])
+        return y
+
+    def batch(p, n, theta, sqrt_sigma, seed, start, count):
+        x, y = batch_draw(p, n, theta, sqrt_sigma, seed, start, count)
         if start <= i < start + count:
-            y[i - start] = 0.0
+            defect(y[i - start])
         return x, y
 
-    return zeroed
+    return slab, batch
+
+
+def _zero(yi):
+    """Every row of Y zeroed, which makes S zero and the draw degenerate."""
+    yi[:] = 0.0
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     monkeypatch.setattr(risk, "CHUNK", 16)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", _zero_y_of(randgen.batch_normal_wishart, 21))
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(21, _zero)[0])
     cfg = replace(SMALL, replicates=40, theta_norms=[0.0, 2.0])
     with pytest.raises(DegenerateFError, match="replicate 21"):
         run_study(cfg, cfg.estimators, cfg.theta_norms, sure_r=constant_shrinkage(0.5), jobs=jobs)
@@ -391,7 +406,7 @@ def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch)
     # Replicate 21 sits in the second 16-replicate chunk, so the message
     # must carry the chunk's offset, not the index within the chunk.
     monkeypatch.setattr(risk, "CHUNK", 16)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", _zero_y_of(randgen.batch_normal_wishart, 21))
+    monkeypatch.setattr(randgen, "batch_normal_wishart", _defect_draws(21, _zero)[1])
     with pytest.raises(RankDegenerateError, match="replicate 21$"):
         stein_identity_mc(np.zeros(5), np.eye(5), 3, Baranchik(constant_shrinkage(0.3)), replicates=1000)
 
@@ -423,10 +438,10 @@ def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta
         p=p, n=n, cov=cov, estimators=specs, theta_norms=[0.0, theta_mult * math.sqrt(p)],
         replicates=6, master_seed=seed,
     )
-    draw = _zero_y_of(randgen.batch_normal_wishart, 1)
+    slab, draw = _defect_draws(1, _zero)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(risk, "CHUNK", 2)
-        mp.setattr(randgen, "batch_normal_wishart", draw)
+        mp.setattr(randgen, "wishart_slab", slab)
         study = run_study(cfg, specs, cfg.theta_norms)
     assert (study.chunks, study.fallback_chunks) == (3, int(side == "solve"))
     sigma = randgen.build_covariance(cov, p)
@@ -454,22 +469,24 @@ def test_run_study_losses_match_scalar_estimate(half_p, side, n_pick, cov, theta
                 assert abs(study.losses[t, k, i] - want) <= 128.0 * eps * kappa * scale
 
 
-def _row_defect_of(draw, i, defect):
-    """batch_normal_wishart with replicate i's Y made rank-deficient: its last
-    row a duplicate of row 0, a near-duplicate far below the rank cutoff,
-    or every row zero."""
+def _row_defect(defect):
+    """A rank-deficient Y: its last row a duplicate of row 0, a
+    near-duplicate far below the rank cutoff, or every row zero."""
 
-    def drawn(p, n, theta, sqrt_sigma, seed, start, count):
-        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
-        if start <= i < start + count:
-            yi = y[i - start]
-            if defect == "zero":
-                yi[:] = 0.0
-            else:
-                yi[-1] = yi[0] + (1e-9 * yi[1] if defect == "near" else 0.0)
-        return x, y
+    def apply(yi):
+        if defect == "zero":
+            _zero(yi)
+        else:
+            yi[-1] = yi[0] + (1e-9 * yi[1] if defect == "near" else 0.0)
 
-    return drawn
+    return apply
+
+
+def _thinned(yi):
+    """lambda_min(G) between the rank cutoff and the full-rank certificate's shift."""
+    u, sv, vt = np.linalg.svd(yi, full_matrices=False)
+    sv[-1] = sv[0] * math.sqrt(1.4 * linalg.default_rel_tol(yi.shape[1]))
+    yi[:] = (u * sv) @ vt
 
 
 def test_uncertified_full_rank_draw_stays_on_the_solve_side(monkeypatch):
@@ -477,19 +494,9 @@ def test_uncertified_full_rank_draw_stays_on_the_solve_side(monkeypatch):
     full-rank certificate's shift fails the certificate; eigvalsh then finds
     rank n, so its chunk is counted as needing eigvalsh and keeps the solve
     side, with exact ranks and lambda_max(S+)."""
-    draw = randgen.batch_normal_wishart
     factors = []
-
-    def thinned(p, n, theta, sqrt_sigma, seed, start, count):
-        x, y = draw(p, n, theta, sqrt_sigma, seed, start, count)
-        if start <= 5 < start + count:
-            u, sv, vt = np.linalg.svd(y[5 - start], full_matrices=False)
-            sv[-1] = sv[0] * math.sqrt(1.4 * linalg.default_rel_tol(p))
-            y[5 - start] = (u * sv) @ vt
-        return x, y
-
     monkeypatch.setattr(risk, "CHUNK", 4)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", thinned)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(5, _thinned)[0])
     def recorded(y, factor_stack=linalg.factor_stack):
         factors.append(factor_stack(y))
         return factors[-1]
@@ -512,8 +519,8 @@ def test_rank_deficient_draw_falls_back_and_matches_scalar_estimate(monkeypatch,
     a = js_default_constant(6, 4)
     specs = [Usual(), JamesStein(a), PositivePartJS(a)]
     cfg = replace(SMALL, replicates=12, estimators=specs, theta_norms=[0.0, 3.0])
-    draw = _row_defect_of(randgen.batch_normal_wishart, 5, defect)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", draw)
+    slab, draw = _defect_draws(5, _row_defect(defect))
+    monkeypatch.setattr(randgen, "wishart_slab", slab)
     study = run_study(cfg, specs, cfg.theta_norms)
     assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 1)
     assert np.array_equal(study.degenerate, [int(defect == "zero")] * 2)
@@ -528,6 +535,84 @@ def test_rank_deficient_draw_falls_back_and_matches_scalar_estimate(monkeypatch,
             for k, spec in enumerate(specs):
                 want = invariant_loss(estimate(spec, x, y[i].T @ y[i]).delta, theta, sigma_inv)
                 assert study.losses[t, k, i] == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+def _off_theta_direction(yi):
+    """Rows of Y made orthogonal to the default theta direction, so that at a
+    large |theta| x lies almost in S's null space: the full-rank
+    certificate holds and its bound on lambda_max(S+) flags the draw."""
+    u = np.ones(yi.shape[1]) / math.sqrt(yi.shape[1])
+    yi -= np.outer(yi @ u, u)
+
+
+_SLAB_CASES = {
+    "solve": (6, 4, None, [0.0, 3.0]),
+    "pxp": (6, 7, None, [0.0, 3.0]),
+    "sure": (6, 4, None, [0.0, 3.0]),
+    "thinned": (6, 4, _thinned, [0.0, 3.0]),
+    "duplicate": (6, 4, _row_defect("duplicate"), [0.0, 3.0]),
+    "near": (6, 4, _row_defect("near"), [0.0, 3.0]),
+    "zero": (6, 4, _row_defect("zero"), [0.0, 3.0]),
+    "exact-lambda": (10, 5, _off_theta_direction, [0.0, 1e8]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SLAB_CASES))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_study_does_not_depend_on_the_slab_size(monkeypatch, case, jobs):
+    """Slabs of 1 and of 3 rows give run_study's losses, masks, SURE values
+    and chunk counts bit for bit as one slab per chunk does, on the solve and
+    p x p sides, with a draw that fails the certificate at rank n (thinned),
+    one of rank below n that sends its chunk to the p x p side, and one that
+    a certified slab's bound flags, so that the exact lambda_max(S+) is read.
+    Replicate 21 carries the defect: row 5 of the second of three chunks,
+    the last one partial."""
+    p, n, defect, norms = _SLAB_CASES[case]
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    if defect is not None:
+        monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(21, defect)[0])
+    a = js_default_constant(p, n)
+    # A dense Sigma: products with a diagonal one are exact in any slab.
+    cfg = replace(
+        SMALL, p=p, n=n, cov=Autoregressive(0.5), replicates=40, theta_direction=None,
+        theta_norms=norms, estimators=[Usual(), JamesStein(a), PositivePartJS(a)],
+    )
+    sure_r = constant_shrinkage(a) if case == "sure" else None
+    studies = []
+    for rows in (None, 1, 3):
+        budget = 1 << 40 if rows is None else rows * 8 * p * max(n, p)
+        monkeypatch.setattr(risk, "SLAB_BYTES", budget)
+        studies.append(run_study(cfg, cfg.estimators, norms, sure_r=sure_r, jobs=jobs))
+    whole = studies[0]
+    counts = (whole.chunks, whole.eigvalsh_chunks, whole.fallback_chunks)
+    assert counts == {"thinned": (3, 1, 0), "exact-lambda": (3, 0, 0)}.get(
+        case, (3, 0, 0) if defect is None else (3, 1, 1)
+    )
+    if case == "exact-lambda":
+        assert whole.degenerate[-1] >= 1
+    for study in studies[1:]:
+        assert np.array_equal(study.losses, whole.losses)
+        assert np.array_equal(study.degenerate, whole.degenerate)
+        assert (study.sure is None) == (sure_r is None)
+        assert sure_r is None or np.array_equal(study.sure, whole.sure)
+        assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == counts
+
+
+def test_run_study_memory_is_bounded_by_the_slab_budget():
+    """Per chunk, run_study holds per-replicate vectors and one slab's work,
+    not CHUNK * n * p: a 2048-replicate chunk at p40-n39 peaks under 20 MiB
+    (tracemalloc sees numpy's buffers), where its variates alone take 25."""
+    cfg = ScenarioConfig(
+        p=40, n=39, cov=Spiked(), estimators=SMALL.estimators, replicates=2048,
+        theta_norms=[0.0], master_seed=3,
+    )
+    tracemalloc.start()
+    try:
+        run_study(cfg, cfg.estimators, cfg.theta_norms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20, peak
 
 
 # ---------------------------------------------------------------- risk table
