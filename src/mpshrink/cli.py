@@ -317,8 +317,8 @@ def run(
 
     Returns 0 on success, after one stderr line per scenario with its wall
     time, replicates per second, degenerate draws summed over theta and, for
-    n < p, how many chunks failed the full-rank certificate and so needed
-    eigvalsh, and how many took the p x p fallback of the solve kernel. A
+    n < p, how many chunks had a slab fail the full-rank certificate (so
+    need eigvalsh) and how many had one take the solve kernel's p x p side. A
     failing scenario writes a one-line JSON error record to stderr and the
     exit code becomes 1; remaining scenarios still run. jobs only changes
     scheduling, never output bytes.

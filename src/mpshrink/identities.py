@@ -291,18 +291,8 @@ def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# the two scalar building-block identities; their closed forms, elementwise
-# in rf = r(F), rdf = r'(F), F and m, serve the Monte-Carlo engines too
-
-
-def _trace_grad_form(rf, rdf, f, m, p: int):
-    """tr(Y' grad_Y [r^2 SS+ x x' S+ / F^2]) = -4 r r' + r^2 (p - 2m + 3)/F."""
-    return -4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f
-
-
-def _div_form(rf, rdf, f, m):
-    """div_x [r(F) SS+ x / F] = 2 r' + r (m - 2)/F."""
-    return 2.0 * rdf + rf * (m - 2.0) / f
+# the two scalar building-block identities; their closed forms live in risk,
+# where they also build the risk-difference integrand
 
 
 def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
@@ -318,7 +308,7 @@ def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
     geo, k = _locked_geometry(yv)
     u = geo.pinv @ xv
     f = float(xv @ u)
-    analytic = _trace_grad_form(r(f), r.deriv(f), f, k, p)
+    analytic = risk._trace_grad_form(r(f), r.deriv(f), f, k, p)
 
     def field(ys: np.ndarray) -> np.ndarray:
         ux, qx = _locked_x_stack(xv, ys, k)
@@ -347,7 +337,7 @@ def div_x_identity(x, s, r: ShrinkageFunction) -> IdentityReport:
     if geo.degenerate:
         raise RankDegenerateError(f"F = {geo.f:.6e} is degenerate; divergence undefined")
     xv, pr, f = geo.x, geo.pr, geo.f
-    analytic = _div_form(r(f), r.deriv(f), f, pr.rank)
+    analytic = risk._div_form(r(f), r.deriv(f), f, pr.rank)
 
     def field(v: np.ndarray) -> np.ndarray:
         fv = float(v @ (pr.pinv @ v))
@@ -433,7 +423,7 @@ def stein_identity_mc(
         g = -(rf / ba.f)[:, None] * ba.psx
         resid = np.einsum("ij,rj->ri", sigma_inv, x - t)
         lhs[start:stop] = 2.0 * np.einsum("ri,ri->r", g, resid)
-        rhs[start:stop] = -2.0 * _div_form(rf, r.deriv(ba.f), ba.f, ba.rank.astype(float))
+        rhs[start:stop] = -2.0 * risk._div_form(rf, r.deriv(ba.f), ba.f, ba.rank.astype(float))
 
     risk.map_chunks(replicates, body)
     return _mc_report("stein", lhs, rhs)
@@ -472,7 +462,7 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
         rf = r.value(ba.f)
         rdf = r.deriv(ba.f)
         g = (rf * rf / (ba.f * ba.f))[:, None, None] * ba.spx[:, :, None] * ba.psx[:, None, :]
-        trace_grad = _trace_grad_form(rf, rdf, ba.f, ba.rank, xv.size)
+        trace_grad = risk._trace_grad_form(rf, rdf, ba.f, ba.rank, xv.size)
         return g, trace_grad
 
     return build
@@ -710,7 +700,7 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     rf = r(f)
     rdf = r.deriv(f)
     gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)
-    assembled = n * float(np.trace(gmat)) + _trace_grad_form(rf, rdf, f, m, p)
+    assembled = n * float(np.trace(gmat)) + risk._trace_grad_form(rf, rdf, f, m, p)
     target = rf * rf * (n + p - 2.0 * m + 3.0) / f - 4.0 * rf * rdf
     return [_report("sure_assembly", assembled, target, 1e-12)]
 

@@ -348,6 +348,15 @@ def _nonempty_stack(a, kind: str) -> np.ndarray:
     return a
 
 
+def _reject_underflow(y: np.ndarray, top: np.ndarray) -> None:
+    """Reject, naming it, the first nonzero Y_i whose largest squared row
+    norm top_i = max_j (Y_i Y_i')_jj is below 2^-1022: G and S have gone
+    subnormal or zero, so rank and F would be wrong. A zero Y_i is kept."""
+    for i in np.flatnonzero(top < np.finfo(float).tiny):
+        if y[i].any():
+            raise ValueError(f"stack entry {i}: Y's largest row norm^2 underflows to {top[i]:.3e}")
+
+
 def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
     """A certified upper bound on lambda_max(S+) = 1/lambda_min(G) for each
     entry of the Gram stack g, or None when some entry fails the certificate:
@@ -397,8 +406,9 @@ def factor_stack(y_stack) -> PinvFactor:
     the cutoff rule decide: rank n everywhere keeps the solve side, with
     exact ranks and lambda_max(S+) = 1/lambda_min(G). Otherwise, and always
     for n >= p, the whole stack takes the p x p side: S = Y'Y symmetrised
-    and eigendecomposed. A non-finite Gram matrix is rejected, naming the
-    stack entry.
+    and eigendecomposed. No other code picks a side; run_study calls this
+    per slab. A non-finite Gram matrix, and a nonzero Y_i whose squares
+    underflow, are rejected, naming the stack entry.
     """
     y = _nonempty_stack(y_stack, "(R, n, p)")
     _, n, p = y.shape
@@ -406,23 +416,20 @@ def factor_stack(y_stack) -> PinvFactor:
         g = _sym_product(y, y.transpose(0, 2, 1))
         # Non-finite Y, or a Y so large that YY' overflows, shows up in G.
         check_finite(g, "YY'")
+        top = g.diagonal(axis1=1, axis2=2).max(axis=1)
+        _reject_underflow(y, top)
         # G^-2 b ~ |Y|^-3 over- or underflows for extreme |Y| where
         # S+x ~ |Y|^-2 does not. Carrying it scaled by a power of two
         # t ~ sqrt(max_i G_ii) is exact; tr G could overflow where G does not.
-        t = np.ldexp(1.0, np.frexp(g.diagonal(axis1=1, axis2=2).max(axis=1))[1] // 2)
+        t = np.ldexp(1.0, np.frexp(top)[1] // 2)
         bound = _certify_full_rank(g, t, p)
         if bound is not None:
             return PinvFactor(np.full(len(g), n), bound, gram=g, y=y, scale=t, certified=True)
         _, _, _, rank, lam_max_pinv = _batch_spectrum(g, default_rel_tol(p), vectors=False)
         if np.all(rank == n):
             return PinvFactor(rank, lam_max_pinv, gram=g, y=y, scale=t)
-    return square_factor(y)
-
-
-def square_factor(y_stack) -> PinvFactor:
-    """factor_stack on the p x p side whatever n: S_i = Y_i'Y_i symmetrised
-    and eigendecomposed."""
-    y = _nonempty_stack(y_stack, "(R, n, p)")
+    else:
+        _reject_underflow(y, np.einsum("rnp,rnp->rn", y, y).max(axis=1))
     return _square_factor(_sym_product(y.transpose(0, 2, 1), y))
 
 

@@ -66,20 +66,31 @@ def invariant_loss(delta, theta, sigma_inv) -> float:
     return linalg.quad_form(d - t, sigma_inv)
 
 
+def _trace_grad_form(rf, rdf, f, m, p: int):
+    """tr(Y' grad_Y [r^2 SS+ x x' S+ / F^2]) = -4 r r' + r^2 (p - 2m + 3)/F."""
+    return -4.0 * rf * rdf + rf * rf * (p - 2.0 * m + 3.0) / f
+
+
+def _div_form(rf, rdf, f, m):
+    """div_x [r(F) SS+ x / F] = 2 r' + r (m - 2)/F."""
+    return 2.0 * rdf + rf * (m - 2.0) / f
+
+
 def _risk_difference(r: ShrinkageFunction, f, m, p: int, n: int):
-    # Elementwise in f and m; shared by the scalar and Monte-Carlo paths.
-    rf = r.value(f)
-    rdf = r.deriv(f)
-    return rf * rf * (n + p - 2.0 * m + 3.0) / f - 2.0 * rf * (m - 2.0) / f - 4.0 * rdf * (1.0 + rf)
+    # Stein-Haff (n tr G, tr G = r^2/F, plus the gradient trace) minus twice
+    # Stein's divergence; elementwise, shared by the scalar and MC paths.
+    rf, rdf = r.value(f), r.deriv(f)
+    return n * rf * rf / f + _trace_grad_form(rf, rdf, f, m, p) - 2.0 * _div_form(rf, rdf, f, m)
 
 
 def unbiased_risk_difference(x, s, r: ShrinkageFunction, n: int) -> float:
     """Integrand whose expectation is risk(delta_r) - p.
 
-        rho = r(F)^2 (n + p - 2m + 3)/F - 2 r(F) (m - 2)/F - 4 r'(F) (1 + r(F))
+        rho = r(F)^2 (n + p - 2m + 3)/F - 2 r(F) (m - 2)/F - 4 r'(F) (1 + r(F)),
 
-    with F = x'S+x and m = tr(SS+) the rank of s. n is the Wishart degrees
-    of freedom of s, supplied by the caller; p is the length of x. Raises
+    assembled as n r^2/F + _trace_grad_form - 2 _div_form, with F = x'S+x
+    and m = tr(SS+) the rank of s. n is the Wishart degrees of freedom of
+    s, supplied by the caller; p is the length of x. Raises
     DegenerateFError when F sits below the degeneracy threshold.
     """
     if n < 1:
@@ -184,9 +195,9 @@ class ReplicateStudy:
     unshrunk, and the unbiased risk-difference integrand when one was asked
     for. From run_study all three carry a leading theta axis. chunks counts
     the CHUNK blocks; of an n < p scenario's chunks, eigvalsh_chunks counts
-    those whose full-rank certificate failed, so that eigvalsh(G) decided
-    their ranks, and fallback_chunks those of them whose factor then took
-    the p x p side because some draw had rank below n."""
+    those with a slab whose full-rank certificate failed, so that
+    eigvalsh(G) decided its ranks, and fallback_chunks those with a slab
+    that then took the p x p side because some draw had rank below n."""
 
     losses: np.ndarray
     degenerate: np.ndarray
@@ -230,11 +241,12 @@ def run_study(
     theta x rows x p), not CHUNK * n * p numbers. Work per
     matrix or per row has the same bits in any slab; a 2-D product over
     rows need not (BLAS picks its kernel by the row count), so z_x A,
-    z Sigma^-1 and P_S X Sigma^-1 are products over the whole chunk. A draw
-    of rank below n sends the whole chunk, redrawn, to the p x p side.
-    Each chunk is one map_chunks body, run on `jobs` threads when jobs > 1;
-    chunk boundaries and the reduction order never change, so results are
-    independent of jobs.
+    z Sigma^-1 and P_S X Sigma^-1 are products over the whole chunk.
+    linalg.factor_stack picks each slab's kernel: a draw of rank below n
+    sends its slab to the p x p side, and the chunk's other slabs keep the
+    solve side. Each chunk is one map_chunks body, run on `jobs` threads
+    when jobs > 1; chunk boundaries and the reduction order never change,
+    so results are independent of jobs.
     """
     sigma = randgen.build_covariance(cfg.cov, cfg.p)
     sqrt_sigma = linalg.sym_sqrt_pd(sigma)
@@ -244,8 +256,8 @@ def run_study(
     losses = np.empty((len(norms), len(specs), total))
     sure = np.empty((len(norms), total)) if sure_r is not None else None
     degenerate = np.empty((len(norms), total), dtype=bool)
-    uncertified: list[int] = []
-    fallbacks: list[int] = []
+    uncertified: set[int] = set()
+    fallbacks: set[int] = set()
 
     p, n, u = cfg.p, cfg.n, cfg.theta_direction
     tns = np.array(norms)[:, None, None]
@@ -262,21 +274,14 @@ def run_study(
         psx_noise, psx_dir, rank = np.empty((count, p)), np.empty((count, p)), np.empty(count)
         # One slab's variates and Y, reused slab after slab: fresh pages fault in serially.
         work = np.empty((min(rows, count), n * p)), np.empty((min(rows, count), n, p))
-        square, certified, lo = n >= p, True, 0
-        while lo < count:
+        for lo in range(0, count, rows):
             hi = min(lo + rows, count)
             y = randgen.wishart_slab(streams, n, sqrt_sigma, lo, hi, work)
-            factor = linalg.square_factor(y) if square else linalg.factor_stack(y)
-            if not (square or factor.certified):
-                certified = False
+            factor = linalg.factor_stack(y)
+            if n < p and not factor.certified:
+                uncertified.add(start)
                 if factor.gram is None:
-                    # A draw of rank below n: the whole chunk takes the p x p
-                    # side, drawn again from reopened streams.
-                    fallbacks.append(start)
-                    square, lo = True, 0
-                    streams = randgen.StreamReader(cfg.master_seed, start, count)
-                    streams.read(p)
-                    continue
+                    fallbacks.add(start)
             # z and u go through the factor together: one solve, two right-hand sides.
             both = np.stack([noise[lo:hi], np.broadcast_to(u, (hi - lo, p))], axis=1)
             c, psx_both = linalg.factor_coords(factor, both)
@@ -288,9 +293,6 @@ def run_study(
             f[:, lo:hi] = linalg.f_from_coords(factor, c[:, 0] + tns * c[:, 1])
             psx = psx_noise[lo:hi] + tns * psx_dir[lo:hi]
             degenerate[:, start + lo : start + hi] = _degenerate(x, f[:, lo:hi], psx, factor)
-            lo = hi
-        if not certified:
-            uncertified.append(start)
         for t, tn in enumerate(norms):
             degen = degenerate[t, start:stop]
             f_safe = np.where(degen, 1.0, f[t])

@@ -6,18 +6,21 @@ and swaps `risk.ThreadPoolExecutor` for a pool that opens a `risk.chunk`
 span around each chunk. perfbench/worker.py's correctness gate calls
 `risk.run_replicates` and reads `risk.CHUNK`, `randgen.sample_wishart` and
 other names. Deleting or renaming one of them would otherwise fail only
-when the benchmark runs. The tracer is loaded from its file without writing
-bytecode next to it, and nothing under perfbench/ is changed. When ROADMAP
-item 1 moves the tracer onto other names, update this test together with
-it.
+when the benchmark runs. The worker's own gate also runs here, on a seed
+whose chunks take the p x p fallback. The tracer and the worker are loaded
+from their files without writing bytecode next to them, and nothing under
+perfbench/ is changed. When ROADMAP item 1 moves the tracer onto other
+names, update this test together with it.
 """
 
 import ast
 import importlib.util
 import pathlib
+import random
+import re
 import sys
 
-from mpshrink import estimators, identities, linalg, randgen, risk
+from mpshrink import cli, estimators, identities, linalg, randgen, risk
 from mpshrink.randgen import Identity
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,9 +28,9 @@ SPANS = PERFBENCH / "spans.py"
 WORKER = PERFBENCH / "worker.py"
 
 
-def load_spans(monkeypatch):
+def load_perfbench(monkeypatch, path):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
-    spec = importlib.util.spec_from_file_location("perfbench_spans_under_test", SPANS)
+    spec = importlib.util.spec_from_file_location(f"perfbench_{path.stem}_under_test", path)
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
@@ -35,7 +38,7 @@ def load_spans(monkeypatch):
 
 
 def test_tracer_installs_over_every_name_and_restores_them(monkeypatch):
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, SPANS)
     original = linalg.sym_eigen
     tracer = spans.Tracer()
     try:
@@ -71,7 +74,7 @@ def test_threaded_study_records_one_chunk_span_with_one_stream_open_per_block(mo
     # each block's streams once, one `randgen.stream_open` child; it draws
     # through randgen.StreamReader, so no `randgen.draw` span is recorded.
     monkeypatch.setattr(risk, "CHUNK", 16)
-    spans = load_spans(monkeypatch)
+    spans = load_perfbench(monkeypatch, SPANS)
     cfg = risk.ScenarioConfig(
         p=6, n=3, cov=Identity(), estimators=[estimators.Usual()], replicates=40, theta_norms=[0.0]
     )
@@ -88,3 +91,22 @@ def test_threaded_study_records_one_chunk_span_with_one_stream_open_per_block(mo
         opens = [s for s in recorded if s.name == "randgen.stream_open" and s.parent == chunk.sid]
         assert len(opens) == 1
     assert not [s for s in recorded if s.name == "randgen.draw"]
+
+
+def test_worker_gate_passes_on_a_fallback_seed(monkeypatch, tmp_path, capsys):
+    """The risk-square gate at its smoke-test size and benchmark seed 330:
+    the p20-n19 section's first chunk has a draw of rank below n, so it
+    needs eigvalsh and a slab of it takes the p x p side. The CSV risk
+    bounds and the scalar estimate() agreement on sampled replicates pass."""
+    worker = load_perfbench(monkeypatch, WORKER)
+    workload = worker.TINY["risk-square"]
+    manifest = cli.parse_config(worker.risk_config(workload, 330))
+    assert cli.run(manifest, jobs=workload.jobs, out_dir=str(tmp_path)) == 0
+    err = capsys.readouterr().err
+    fallback = r"^p20-n19-\S+: .*, 1 of 2 chunks needed eigvalsh, 1 took the p x p fallback$"
+    assert re.search(fallback, err, re.M)
+    files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+    tally = worker.Tally()
+    worker.check_risk_bounds(cli, files, tally)
+    worker.check_scalar_agreement(manifest, workload.jobs, random.Random(330), tally)
+    assert tally.attempted > 0 and tally.failures == []

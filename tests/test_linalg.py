@@ -590,6 +590,36 @@ def test_batch_pinv_factor_rejects_nonfinite_entry(n):
         batch_pinv_factor(y, np.ones((3, 10)))
 
 
+@pytest.mark.parametrize("n", [5, 12])  # the solve side, the p x p side
+@pytest.mark.parametrize("c", [1e-155, 1e-170])
+def test_factor_stack_rejects_a_nonzero_y_whose_squares_underflow(n, c):
+    """(c x, c Y) keeps F, but at c = 1e-155 G = YY' (S = Y'Y) goes
+    subnormal and F came out wrong, and at 1e-170 it is zero and the rank
+    came out 0, without an error. Such a Y_i is rejected, naming its entry."""
+    rng = np.random.default_rng(7)
+    y = rng.standard_normal((2, n, 10))
+    y[1] *= c
+    with pytest.raises(ValueError, match=r"stack entry 1: Y's largest row norm\^2 underflows"):
+        factor_stack(y)
+
+
+@pytest.mark.parametrize("n", [5, 12])
+def test_factor_stack_keeps_zero_rows_and_small_normal_y(n):
+    """An all-zero Y_i has rank 0 and a zero row drops the rank by one, as
+    before the underflow rule; (c x, c Y) at c = 1e-150, whose squared row
+    norms are still normal, keeps F and the rank."""
+    rng = np.random.default_rng(7)
+    y, x = rng.standard_normal((3, n, 10)), rng.standard_normal((3, 10))
+    base = batch_pinv_factor(y, x)
+    with np.errstate(over="ignore"):  # the certificate's bound overflows to inf
+        small = batch_pinv_factor(1e-150 * y, 1e-150 * x)
+    assert np.array_equal(small.rank, base.rank)
+    assert rel_diff(small.f, base.f) <= 1e-10
+    y[1] = 0.0
+    y[2, 0] = 0.0
+    assert np.array_equal(factor_stack(y).rank, [min(n, 10), 0, min(n - 1, 10)])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     p=st.integers(min_value=5, max_value=24),

@@ -550,9 +550,6 @@ _SLAB_CASES = {
     "pxp": (6, 7, None, [0.0, 3.0]),
     "sure": (6, 4, None, [0.0, 3.0]),
     "thinned": (6, 4, _thinned, [0.0, 3.0]),
-    "duplicate": (6, 4, _row_defect("duplicate"), [0.0, 3.0]),
-    "near": (6, 4, _row_defect("near"), [0.0, 3.0]),
-    "zero": (6, 4, _row_defect("zero"), [0.0, 3.0]),
     "exact-lambda": (10, 5, _off_theta_direction, [0.0, 1e8]),
 }
 
@@ -562,11 +559,10 @@ _SLAB_CASES = {
 def test_run_study_does_not_depend_on_the_slab_size(monkeypatch, case, jobs):
     """Slabs of 1 and of 3 rows give run_study's losses, masks, SURE values
     and chunk counts bit for bit as one slab per chunk does, on the solve and
-    p x p sides, with a draw that fails the certificate at rank n (thinned),
-    one of rank below n that sends its chunk to the p x p side, and one that
-    a certified slab's bound flags, so that the exact lambda_max(S+) is read.
-    Replicate 21 carries the defect: row 5 of the second of three chunks,
-    the last one partial."""
+    p x p sides, with a draw that fails the certificate at rank n (thinned)
+    and one that a certified slab's bound flags, so that the exact
+    lambda_max(S+) is read. Replicate 21 carries the defect: row 5 of the
+    second of three chunks, the last one partial."""
     p, n, defect, norms = _SLAB_CASES[case]
     monkeypatch.setattr(risk, "CHUNK", 16)
     if defect is not None:
@@ -585,9 +581,7 @@ def test_run_study_does_not_depend_on_the_slab_size(monkeypatch, case, jobs):
         studies.append(run_study(cfg, cfg.estimators, norms, sure_r=sure_r, jobs=jobs))
     whole = studies[0]
     counts = (whole.chunks, whole.eigvalsh_chunks, whole.fallback_chunks)
-    assert counts == {"thinned": (3, 1, 0), "exact-lambda": (3, 0, 0)}.get(
-        case, (3, 0, 0) if defect is None else (3, 1, 1)
-    )
+    assert counts == ((3, 1, 0) if case == "thinned" else (3, 0, 0))
     if case == "exact-lambda":
         assert whole.degenerate[-1] >= 1
     for study in studies[1:]:
@@ -596,6 +590,52 @@ def test_run_study_does_not_depend_on_the_slab_size(monkeypatch, case, jobs):
         assert (study.sure is None) == (sure_r is None)
         assert sure_r is None or np.array_equal(study.sure, whole.sure)
         assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == counts
+
+
+@pytest.mark.parametrize("defect", ["duplicate", "near", "zero"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_rank_deficient_draw_moves_only_its_own_slab(monkeypatch, defect, jobs):
+    """factor_stack picks each slab's side: a draw of rank below n sends its
+    slab, and nothing more, to the p x p side. With slabs of 1 and 3 rows
+    and with one slab per chunk, every replicate outside the defective
+    draw's slab has the losses of the same run without the defect, bit for
+    bit; that slab's losses match invariant_loss of the scalar estimate() on
+    the same draws; and each chunk's streams are opened once, the fallback
+    chunk's included. Replicate 21 carries the defect: row 5 of the second
+    of three chunks, the last one partial."""
+    p, n = 6, 4
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    a = js_default_constant(p, n)
+    specs = [Usual(), JamesStein(a), PositivePartJS(a)]
+    # A dense Sigma: products with a diagonal one are exact in any slab.
+    cfg = replace(
+        SMALL, p=p, n=n, cov=Autoregressive(0.5), replicates=40, theta_direction=None,
+        theta_norms=[0.0, 3.0], estimators=specs,
+    )
+    slab, draw = _defect_draws(21, _row_defect(defect))
+    sigma = randgen.build_covariance(cfg.cov, p)
+    sigma_inv = linalg.inv_pd(sigma)
+    noise, y = draw(p, n, np.zeros(p), linalg.sym_sqrt_pd(sigma), cfg.master_seed, 0, 40)
+    plain = randgen.wishart_slab
+    for rows in (1, 3, 16):
+        monkeypatch.setattr(risk, "SLAB_BYTES", rows * 8 * p * max(n, p))
+        monkeypatch.setattr(randgen, "wishart_slab", plain)
+        clean = run_study(cfg, specs, cfg.theta_norms, jobs=jobs)
+        monkeypatch.setattr(randgen, "wishart_slab", slab)
+        starts = _count_opens(monkeypatch)
+        study = run_study(cfg, specs, cfg.theta_norms, jobs=jobs)
+        assert sorted(starts) == [0, 16, 32]
+        assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 1)
+        lo = 16 + (21 - 16) // rows * rows
+        outside = np.r_[0:lo, lo + rows : 40]
+        assert np.array_equal(study.losses[..., outside], clean.losses[..., outside])
+        for t, tn in enumerate(cfg.theta_norms):
+            theta = tn * cfg.theta_direction
+            for i in range(lo, lo + rows):
+                x = theta + noise[i]
+                for k, spec in enumerate(specs):
+                    want = invariant_loss(estimate(spec, x, y[i].T @ y[i]).delta, theta, sigma_inv)
+                    assert study.losses[t, k, i] == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 def test_run_study_memory_is_bounded_by_the_slab_budget():
