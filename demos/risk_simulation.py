@@ -38,13 +38,14 @@ print(f"p = {p}, n = {n}, spiked covariance, {cfg.replicates} replicates per poi
 print("risk of the unshrunk estimator is exactly p =", p)
 print()
 
-rows = risk_curve(cfg, jobs=4)
+rows, study = risk_curve(cfg, jobs=4)
 print(f"{'estimator':12s} {'|theta|':>8s} {'risk':>9s} {'std err':>9s}")
 for row in rows:
     print(
         f"{row.estimator:12s} {row.theta_norm:8.3f} "
         f"{row.risk:9.4f} {row.std_err:9.4f}"
     )
+print(f"{study.degenerate.sum()} degenerate draws, passed through unshrunk")
 
 # Group rows into one polyline per estimator, mirroring the CLI's charts.
 series = {}

@@ -43,10 +43,8 @@ from . import identities, risk, svgchart
 from .estimators import JamesStein, PositivePartJS, Usual, check_unique_labels, js_default_constant
 from .randgen import Autoregressive, BlockDiagonal, Identity, Spiked
 
-CSV_HEADER = "scenario,p,n,cov_model,estimator,theta_norm,replicates,risk,std_err"
+CSV_HEADER = ",".join(risk.RiskRow._fields)
 IDENTITY_CSV_HEADER = "identity,analytic,oracle,abs_err,rel_err,tolerance,pass"
-# The CSV_HEADER columns of a RiskRow: its attributes of the same names.
-_csv_columns = attrgetter(*CSV_HEADER.split(","))
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9._-]+)\]$")
 # An inline comment: '#' or ';' after whitespace, to the end of the line.
@@ -339,8 +337,8 @@ def run(
             cfg.theta_direction = direction
         t0 = time.perf_counter()
         try:
-            rows = risk.risk_curve(cfg, jobs=jobs)
-            _write_csv(target / f"{cfg.name}.csv", CSV_HEADER, map(_csv_columns, rows))
+            rows, study = risk.risk_curve(cfg, jobs=jobs)
+            _write_csv(target / f"{cfg.name}.csv", CSV_HEADER, rows)
             if manifest.emit_svg:
                 (target / f"{cfg.name}.svg").write_text(
                     _scenario_svg(cfg, rows), encoding="utf-8"
@@ -352,18 +350,16 @@ def run(
             failed = True
             continue
         elapsed = time.perf_counter() - t0
-        # Every estimator's rows carry the same per-theta counts; sum one's.
-        degenerate = sum(r.degenerate for r in rows if r.estimator == rows[0].estimator)
         fallback = ""
-        if rows and cfg.n < cfg.p:
-            row = rows[0]
+        if cfg.n < cfg.p:
             fallback = (
-                f", {row.eigvalsh_chunks} of {row.chunks} chunks needed eigvalsh, "
-                f"{row.fallback_chunks} took the p x p fallback"
+                f", {study.eigvalsh_chunks} of {study.chunks} chunks needed eigvalsh, "
+                f"{study.fallback_chunks} took the p x p fallback"
             )
         sys.stderr.write(
             f"{cfg.name}: wrote {cfg.name}.csv ({len(rows)} rows) in {elapsed:.2f} s, "
-            f"{cfg.replicates / elapsed:.0f} replicates/s, {degenerate} degenerate draws{fallback}\n"
+            f"{cfg.replicates / elapsed:.0f} replicates/s, "
+            f"{study.degenerate.sum()} degenerate draws{fallback}\n"
         )
     return 1 if failed else 0
 

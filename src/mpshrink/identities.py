@@ -41,7 +41,12 @@ MC_MIN_REPLICATES = 1000
 
 
 class RankDegenerateError(ValueError):
-    """Y is too close to a rank change for constant-rank derivatives."""
+    """Y is too close to a rank change for constant-rank derivatives. A G
+    builder sets entry to the index of the offending Y in its stack."""
+
+    def __init__(self, message: str, entry: int | None = None):
+        super().__init__(message)
+        self.entry = entry
 
 
 @dataclass(frozen=True)
@@ -457,7 +462,7 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
         if degen.any():
             i = int(np.argmax(degen))
             raise RankDegenerateError(
-                f"degenerate F = {ba.f[i]:.6e} at stack entry {i} in G builder"
+                f"degenerate F = {ba.f[i]:.6e} at stack entry {i} in G builder", entry=i
             )
         rf = r.value(ba.f)
         rdf = r.deriv(ba.f)
@@ -479,7 +484,9 @@ def stein_haff_mc(
 
     S = Y'Y is drawn fresh per replicate (stream i yields the n*p variates
     of Y, row-major). g_builder maps a chunk's (R, n, p) stack of Y to the
-    (R, p, p) stack of G and the (R,) analytic gradient traces.
+    (R, p, p) stack of G and the (R,) analytic gradient traces. A
+    RankDegenerateError from it that names a stack entry is raised again
+    naming the replicate.
     """
     p = linalg.symmetrize(sigma).shape[0]
     _, sqrt_sigma, sigma_inv = _mc_setup(replicates, MC_MIN_REPLICATES, n, sigma, np.zeros(p))
@@ -490,7 +497,12 @@ def stein_haff_mc(
         count = stop - start
         z = randgen.batch_standard_normal(seed, start, count, n * p)
         y = z.reshape(count, n, p) @ sqrt_sigma
-        g, trace_grad = g_builder(y)
+        try:
+            g, trace_grad = g_builder(y)
+        except RankDegenerateError as exc:
+            if exc.entry is None:
+                raise
+            raise RankDegenerateError(f"degenerate F at replicate {start + exc.entry}") from exc
         g = np.asarray(g, dtype=float)
         trace_grad = np.asarray(trace_grad, dtype=float)
         if g.shape != (count, p, p) or trace_grad.shape != (count,):

@@ -376,7 +376,10 @@ def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
     cheap bound on lambda_max, so it misses far fewer full-rank draws. The
     exact 1/t^2 keeps H and phi's squares of order 1 for any |Y|. H is
     built and factored one slab at a time, the shift subtracted on its
-    diagonal view, so no second stack of g's size is held.
+    diagonal view, so no second stack of g's size is held. For a Y near
+    the bottom of the normal range the bound exceeds the largest float and
+    is returned as inf, without a warning: an infinite bound sends the
+    degeneracy rule to the exact lambda_max(S+).
     """
     rel_tol = default_rel_tol(p)
     inv_t2 = (1.0 / t) ** 2
@@ -390,7 +393,8 @@ def _certify_full_rank(g: np.ndarray, t: np.ndarray, p: int):
             np.linalg.cholesky(h)
         except np.linalg.LinAlgError:
             return None
-    return inv_t2 / (rel_tol * phi)
+    with np.errstate(over="ignore"):
+        return inv_t2 / (rel_tol * phi)
 
 
 def factor_stack(y_stack) -> PinvFactor:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -130,7 +130,6 @@ class RiskEstimate:
 
     mean_loss: float
     std_error: float
-    replicates: int
 
 
 @dataclass
@@ -343,18 +342,12 @@ def summarize_losses(arr: np.ndarray) -> RiskEstimate:
     """Mean and standard error of a replicate-ordered loss array."""
     reps = arr.size
     se = float(arr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-    return RiskEstimate(mean_loss=float(arr.mean()), std_error=se, replicates=reps)
+    return RiskEstimate(mean_loss=float(arr.mean()), std_error=se)
 
 
-@dataclass(frozen=True)
-class RiskRow:
-    """One (estimator, theta_norm) cell of a scenario's risk table.
-
-    degenerate counts the draws at this theta_norm that every estimator
-    passed through unshrunk, and chunks, eigvalsh_chunks and
-    fallback_chunks are the scenario's run_study counts; the CSV carries
-    none of them.
-    """
+class RiskRow(NamedTuple):
+    """One (estimator, theta_norm) cell of a scenario's risk table and one
+    line of its CSV: the fields are the columns, in order."""
 
     scenario: str
     p: int
@@ -365,42 +358,21 @@ class RiskRow:
     replicates: int
     risk: float
     std_err: float
-    degenerate: int
-    chunks: int
-    eigvalsh_chunks: int
-    fallback_chunks: int
 
 
-def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> list[RiskRow]:
-    """Risk table over cfg.theta_norms x cfg.estimators.
+def risk_curve(cfg: ScenarioConfig, jobs: int = 1) -> tuple[list[RiskRow], ReplicateStudy]:
+    """Risk table over cfg.theta_norms x cfg.estimators, and the run_study
+    result it was reduced from, which holds the run's counters.
 
     Every cell reads the same draws (one run_study). Rows are grouped by
     estimator, then ordered by theta_norm.
     """
-    if not cfg.estimators:
-        return []
     study = run_study(cfg, cfg.estimators, cfg.theta_norms, jobs=jobs)
-    cov_name = randgen.cov_label(cfg.cov)
+    scenario = (cfg.name, cfg.p, cfg.n, randgen.cov_label(cfg.cov))
     rows = []
     for k, spec in enumerate(cfg.estimators):
         for t, tn in enumerate(cfg.theta_norms):
             est = summarize_losses(study.losses[t, k])
-            rows.append(
-                RiskRow(
-                    scenario=cfg.name,
-                    p=cfg.p,
-                    n=cfg.n,
-                    cov_model=cov_name,
-                    estimator=spec.label,
-                    theta_norm=float(tn),
-                    replicates=cfg.replicates,
-                    risk=est.mean_loss,
-                    std_err=est.std_error,
-                    degenerate=int(study.degenerate[t]),
-                    chunks=study.chunks,
-                    eigvalsh_chunks=study.eigvalsh_chunks,
-                    fallback_chunks=study.fallback_chunks,
-                )
-            )
-    return rows
-
+            cell = (spec.label, float(tn), cfg.replicates, est.mean_loss, est.std_error)
+            rows.append(RiskRow(*scenario, *cell))
+    return rows, study

@@ -348,21 +348,36 @@ def test_run_jobs_do_not_change_bytes(tmp_path):
     assert a == b
 
 
+def _defect_at(i, defect):
+    """randgen.wishart_slab with defect applied in place to replicate i's Y."""
+    from mpshrink import randgen
+
+    draw = randgen.wishart_slab
+
+    def slab(streams, n, sqrt_sigma, lo, hi, work):
+        y = draw(streams, n, sqrt_sigma, lo, hi, work)
+        if lo <= i - streams.start < hi:
+            defect(y[i - streams.start - lo])
+        return y
+
+    return slab
+
+
+def _duplicate_row(yi):
+    yi[-1] = yi[0]
+
+
+def _zero(yi):
+    yi[:] = 0.0
+
+
 def test_run_reports_fallback_chunks_and_keeps_bytes_across_jobs(monkeypatch, tmp_path, capsys):
     # Replicate 40's Y gets a duplicate row, so its 16-replicate chunk takes
     # the p x p fallback while the other two chunks take the solve side.
     from mpshrink import randgen, risk
 
-    draw = randgen.wishart_slab
-
-    def duplicated(streams, n, sqrt_sigma, lo, hi, work):
-        y = draw(streams, n, sqrt_sigma, lo, hi, work)
-        if lo <= 40 - streams.start < hi:
-            y[40 - streams.start - lo, -1] = y[40 - streams.start - lo, 0]
-        return y
-
     monkeypatch.setattr(risk, "CHUNK", 16)
-    monkeypatch.setattr(randgen, "wishart_slab", duplicated)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_at(40, _duplicate_row))
     text = SMALL_RUN + "\n[wide]\np = 3\nn = 4\ncov = identity\nestimators = usual\n"
     out = {}
     for jobs in (1, 4):
@@ -377,6 +392,27 @@ def test_run_reports_fallback_chunks_and_keeps_bytes_across_jobs(monkeypatch, tm
         # n >= p always runs on the p x p side: nothing falls back.
         assert re.search(r"^wide: .*, 0 degenerate draws$", err, re.M)
     assert len(out[1]) == 4 and out[1] == out[4]
+
+
+def test_run_reports_nonzero_degenerate_draws_across_jobs(monkeypatch, tmp_path, capsys):
+    # Replicate 40's Y is zeroed, so S = 0 and that draw is degenerate at
+    # every |theta|: the count summed over theta is the number of theta values.
+    from mpshrink import randgen, risk
+
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_at(40, _zero))
+    text = SMALL_RUN + "\n[wide]\np = 3\nn = 4\ncov = identity\nestimators = usual\n"
+    thetas = {cfg.name: len(cfg.theta_norms) for cfg in parse_config(text).scenarios}
+    assert thetas == {"one": 2, "wide": 13}
+    for jobs in (1, 4):
+        assert run(parse_config(text), jobs=jobs, out_dir=str(tmp_path / str(jobs))) == 0
+        err = capsys.readouterr().err
+        assert re.search(
+            r"^one: .*, 2 degenerate draws, 1 of 4 chunks needed eigvalsh, 1 took the p x p fallback$",
+            err,
+            re.M,
+        )
+        assert re.search(r"^wide: .*, 13 degenerate draws$", err, re.M)
 
 
 def test_run_replicates_override(tmp_path):

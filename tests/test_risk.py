@@ -21,7 +21,12 @@ from mpshrink.estimators import (
     pinv_geometry,
     positive_part_shrinkage,
 )
-from mpshrink.identities import RankDegenerateError, stein_identity_mc
+from mpshrink.identities import (
+    RankDegenerateError,
+    shrinkage_g_builder,
+    stein_haff_mc,
+    stein_identity_mc,
+)
 from mpshrink.randgen import Autoregressive, Identity, RngStream, Spiked, batch_normal_wishart
 from mpshrink.risk import (
     RiskRow,
@@ -175,7 +180,7 @@ def test_scenario_rejects_duplicate_labels():
         theta_norms=[0.0],
         replicates=50,
     )
-    assert [row.estimator for row in risk_curve(cfg)] == ["low", "high"]
+    assert [row.estimator for row in risk_curve(cfg)[0]] == ["low", "high"]
 
 
 def test_replace_revalidates_scenario():
@@ -258,8 +263,9 @@ def test_usual_risk_is_dimension():
     cfg = ScenarioConfig(
         p=5, n=4, cov=Identity(), estimators=[Usual()], replicates=2000, master_seed=5
     )
-    est = summarize_losses(run_replicates(cfg, [Usual()], theta_norm=0.0).losses[0])
-    assert est.replicates == 2000
+    losses = run_replicates(cfg, [Usual()], theta_norm=0.0).losses[0]
+    assert losses.shape == (2000,)
+    est = summarize_losses(losses)
     assert abs(est.mean_loss - 5.0) < 5.0 * est.std_error
 
 
@@ -379,8 +385,7 @@ def test_run_study_sure_names_degenerate_replicate(monkeypatch, jobs):
     # The zero Y fails the full-rank certificate and sends its chunk, and
     # only that one, through eigvalsh to the p x p side.
     assert (study.chunks, study.eigvalsh_chunks, study.fallback_chunks) == (3, 1, 1)
-    rows = risk_curve(cfg, jobs=jobs)
-    assert [r.degenerate for r in rows] == [1, 1] * len(cfg.estimators)
+    assert np.array_equal(risk_curve(cfg, jobs=jobs)[1].degenerate, [1, 1])
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -409,6 +414,25 @@ def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch)
     monkeypatch.setattr(randgen, "batch_normal_wishart", _defect_draws(21, _zero)[1])
     with pytest.raises(RankDegenerateError, match="replicate 21$"):
         stein_identity_mc(np.zeros(5), np.eye(5), 3, Baranchik(constant_shrinkage(0.3)), replicates=1000)
+
+
+def test_stein_haff_mc_names_degenerate_replicate_across_chunks(monkeypatch):
+    # The G builder sees one chunk's stack, in which replicate 21 is entry 5;
+    # stein_haff_mc adds the chunk's offset.
+    monkeypatch.setattr(risk, "CHUNK", 16)
+    draw = randgen.batch_standard_normal
+
+    def zeroed(seed, start, count, size):
+        z = draw(seed, start, count, size)
+        if start <= 21 < start + count:
+            z[21 - start] = 0.0
+        return z
+
+    monkeypatch.setattr(randgen, "batch_standard_normal", zeroed)
+    g_builder = shrinkage_g_builder(np.ones(5), constant_shrinkage(0.3))
+    with pytest.raises(RankDegenerateError, match="replicate 21$") as info:
+        stein_haff_mc(3, np.eye(5), g_builder, replicates=1000, seed=1)
+    assert "stack entry 5 " in str(info.value.__cause__)
 
 
 @settings(deadline=None, max_examples=60)
@@ -668,11 +692,15 @@ def test_risk_curve_rows_and_grouping():
         master_seed=1,
         name="grid",
     )
-    rows = risk_curve(cfg)
+    rows, study = risk_curve(cfg)
     assert len(rows) == 4
+    assert study.losses.shape == (2, 2, 50)
     assert [r.estimator for r in rows] == ["usual", "usual", "js(0.25)", "js(0.25)"]
     assert [r.theta_norm for r in rows] == [0.0, 2.0, 0.0, 2.0]
     assert all(isinstance(r, RiskRow) for r in rows)
+    assert RiskRow._fields == (
+        "scenario", "p", "n", "cov_model", "estimator", "theta_norm", "replicates", "risk", "std_err"
+    )
     assert all(r.scenario == "grid" and r.cov_model == "spiked" for r in rows)
     assert all(r.p == 4 and r.n == 3 and r.replicates == 50 for r in rows)
     # usual is invariant: identical risk in both cells
@@ -689,14 +717,15 @@ def test_risk_curve_deterministic():
         replicates=60,
         master_seed=8,
     )
-    first = risk_curve(cfg)
-    second = risk_curve(cfg)
-    assert [(r.risk, r.std_err) for r in first] == [(r.risk, r.std_err) for r in second]
+    first, _ = risk_curve(cfg)
+    second, _ = risk_curve(cfg)
+    assert first == second
 
 
 def test_risk_curve_empty_estimators():
-    cfg = ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[])
-    assert risk_curve(cfg) == []
+    cfg = ScenarioConfig(p=4, n=3, cov=Identity(), estimators=[], replicates=50)
+    rows, study = risk_curve(cfg)
+    assert rows == [] and study.losses.shape == (len(cfg.theta_norms), 0, 50)
 
 
 # ------------------------------------------------------------ batch geometry
