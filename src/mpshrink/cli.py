@@ -374,23 +374,33 @@ def verify(
     """Run the identity oracle suite and print one row per identity.
 
     Each identity's elapsed seconds, and the total, go to stderr as it runs.
+    Bad arguments exit 2 before any identity runs. An identity that raises
+    writes a one-line JSON error record to stderr, the others still run and
+    the exit code is 1.
     """
-    reports = []
-    t_start = time.perf_counter()
     try:
-        for name in [only] if only else identities.SUITE_NAMES:
-            t0 = time.perf_counter()
-            reports += identities.run_default_suite(
-                seed=seed, only=name, fd_configs=fd_configs, mc_replicates=mc_replicates
-            )
-            sys.stderr.write(f"verify: {name} in {time.perf_counter() - t0:.2f} s\n")
+        names = identities.suite_names(only, fd_configs, mc_replicates)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    reports = []
+    failed = False
+    t_start = time.perf_counter()
+    for name in names:
+        t0 = time.perf_counter()
+        try:
+            reports += identities.run_default_suite(
+                seed=seed, only=name, fd_configs=fd_configs, mc_replicates=mc_replicates
+            )
+        except Exception as exc:  # noqa: BLE001 - every failure becomes a record
+            sys.stderr.write(json.dumps({"identity": name, "error": str(exc)}) + "\n")
+            failed = True
+            continue
+        sys.stderr.write(f"verify: {name} in {time.perf_counter() - t0:.2f} s\n")
     sys.stderr.write(
         f"verify: {len(reports)} identities in {time.perf_counter() - t_start:.2f} s\n"
     )
-    name_w = max(len(r.name) for r in reports)
+    name_w = max((len(r.name) for r in reports), default=0)
     print(f"{'identity':<{name_w}}  {'analytic':>13} {'oracle':>13} "
           f"{'abs_err':>10} {'rel_err':>10} {'tol':>9}  result")
     for r in reports:
@@ -403,7 +413,7 @@ def verify(
         target = Path(out_dir)
         target.mkdir(parents=True, exist_ok=True)
         _write_csv(target / "identities.csv", IDENTITY_CSV_HEADER, map(astuple, reports))
-    return 0 if all(r.passed for r in reports) else 1
+    return 0 if not failed and all(r.passed for r in reports) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -136,12 +136,15 @@ def f_degenerate(f, x_sq, rank, psx_norm, lam_max_pinv):
 
     Works elementwise on arrays and on scalars; the Monte-Carlo engine and
     estimate() share this rule so their outputs agree replicate by replicate.
+    Where the threshold would be 0 * inf (x = 0 with an infinite lambda_max(S+)
+    or bound on it) the F test reads False without forming it, as the nan
+    comparison would.
     """
-    return (
-        (np.asarray(rank) == 0)
-        | (np.asarray(psx_norm) == 0.0)
-        | (np.asarray(f) <= DEGENERATE_F_FACTOR * np.asarray(x_sq) * np.asarray(lam_max_pinv))
-    )
+    bound = DEGENERATE_F_FACTOR * np.asarray(x_sq)
+    lam = np.asarray(lam_max_pinv)
+    defined = (bound != 0.0) & (lam != 0.0) | np.isfinite(bound) & np.isfinite(lam)
+    small = (np.asarray(f) <= bound * np.where(defined, lam, 1.0)) & defined
+    return (np.asarray(rank) == 0) | (np.asarray(psx_norm) == 0.0) | small
 
 
 @dataclass(frozen=True, eq=False)

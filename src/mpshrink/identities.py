@@ -92,122 +92,99 @@ def _checked_xy(x, y):
     return xv, yv
 
 
-def _checked_index(y: np.ndarray, alpha: int, beta: int) -> None:
-    n, p = y.shape
-    if not (0 <= alpha < n and 0 <= beta < p):
-        raise IndexError(f"(alpha, beta) = ({alpha}, {beta}) outside a {n} x {p} factor")
-
-
 def _gram(y: np.ndarray) -> np.ndarray:
     """S = Y'Y symmetrised, for one factor or a stack of them."""
     s = np.swapaxes(y, -1, -2) @ y
     return (s + np.swapaxes(s, -1, -2)) / 2.0
 
 
-def _gram_eigen(y: np.ndarray) -> linalg.SpectralDecomposition:
-    return linalg.sym_eigen(_gram(y))
+def _pinv_locked(y: np.ndarray) -> linalg.PseudoinverseResult:
+    """Pseudoinverse pieces for S = Y'Y at the rank locked to min(n, p).
 
-
-def _pinv_locked(y: np.ndarray, rank: int) -> linalg.PseudoinverseResult:
-    # Finite differences perturb Y while the analytic formulas assume
-    # locally constant rank; locking it keeps the eigenvalue cutoff from
-    # flipping between the two perturbed evaluations.
-    return linalg.pseudo_inverse_from_eigen(_gram_eigen(y), rank=rank)
-
-
-def _locked_geometry(y: np.ndarray) -> tuple[linalg.PseudoinverseResult, int]:
-    """Fixed-rank pseudoinverse pieces for S = Y'Y at rank min(n, p).
-
-    Flags Y as rank-degenerate when the smallest retained eigenvalue is
-    indistinguishable from the discarded ones.
+    Finite differences perturb Y while the analytic formulas assume locally
+    constant rank; locking it keeps the eigenvalue cutoff from flipping
+    between the two perturbed evaluations. Raises RankDegenerateError when
+    the smallest retained eigenvalue is indistinguishable from the
+    discarded ones.
     """
     k = min(y.shape)
-    dec = _gram_eigen(y)
+    dec = linalg.sym_eigen(_gram(y))
     lam_max = max(dec.eigenvalues[0], 0.0)
     if dec.eigenvalues[k - 1] <= 1e-10 * max(lam_max, 1.0):
         raise RankDegenerateError(
             f"eigenvalue {k - 1} of S is {dec.eigenvalues[k - 1]:.3e}; "
             "Y is numerically rank-degenerate"
         )
-    return linalg.pseudo_inverse_from_eigen(dec, rank=k), k
+    return linalg.pseudo_inverse_from_eigen(dec, rank=k)
 
 
 # ---------------------------------------------------------------------------
-# analytic derivative formulas
+# analytic derivative formulas; each returns every entry (alpha, beta) of Y
 
 
-def ds_dy(y, alpha: int, beta: int) -> np.ndarray:
-    """d(Y'Y)/dY_ab entrywise: (k, l) -> delta_bk Y_al + delta_bl Y_ak."""
+def ds_dy(y) -> np.ndarray:
+    """d(Y'Y)/dY as an (n, p, p, p) array: entry [a, b] is the p x p matrix
+    (k, l) -> delta_bk Y_al + delta_bl Y_ak."""
     yv = np.asarray(y, dtype=float)
     if yv.ndim != 2:
         raise linalg.DimensionMismatchError(f"Y must be a matrix, got shape {yv.shape}")
-    _checked_index(yv, alpha, beta)
-    p = yv.shape[1]
-    out = np.zeros((p, p))
-    out[beta, :] += yv[alpha, :]
-    out[:, beta] += yv[alpha, :]
+    n, p = yv.shape
+    out = np.zeros((n, p, p, p))
+    for beta in range(p):
+        out[:, beta, beta, :] += yv
+        out[:, beta, :, beta] += yv
     return out
 
 
-def df_dy(x, y, alpha: int, beta: int) -> float:
-    """dF/dY_ab for F = x' S+ x at locked rank min(n, p).
+def df_dy(x, y) -> np.ndarray:
+    """dF/dY as an (n, p) array for F = x' S+ x at locked rank min(n, p):
 
-        -2 (x'S+Y')_a (S+x)_b + 2 (x'S+S+Y')_a ((I - SS+)x)_b
+        -2 (Y S+ x)(S+ x)' + 2 (Y S+ S+ x)((I - SS+) x)'
 
     The second term carries the out-of-range component of x and is exactly
     zero when n >= p.
     """
     xv, yv = _checked_xy(x, y)
-    _checked_index(yv, alpha, beta)
-    return float(df_dy_matrix(xv, yv)[alpha, beta])
-
-
-def df_dy_matrix(x, y) -> np.ndarray:
-    """All of dF/dY at once: -2 (Y S+ x)(S+ x)' + 2 (Y S+ S+ x)((I - SS+)x)'."""
-    xv, yv = _checked_xy(x, y)
-    geo, _ = _locked_geometry(yv)
+    geo = _pinv_locked(yv)
     u = geo.pinv @ xv
     cx = geo.complement @ xv
     return -2.0 * np.outer(yv @ u, u) + 2.0 * np.outer(yv @ (geo.pinv @ u), cx)
 
 
-def dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
-    """d(S+ x x' S S+)/dY_ab at locked rank: the nine-term expansion.
+def dm_dy(x, y) -> np.ndarray:
+    """d(S+ x x' S S+)/dY as an (n, p, p, p) array at locked rank: entry
+    [a, b] is the nine-term expansion at (a, b).
 
     Written exactly as derived, term by term; several terms cancel against
     each other analytically (YSS+ = Y), but they are kept separate so the
     formula under test is the stated one.
     """
     xv, yv = _checked_xy(x, y)
-    _checked_index(yv, alpha, beta)
-    geo, _ = _locked_geometry(yv)
-    return _dm_dy_at(xv, yv, geo, alpha, beta)
-
-
-def _dm_dy_at(
-    xv: np.ndarray, yv: np.ndarray, geo: linalg.PseudoinverseResult, alpha: int, beta: int
-) -> np.ndarray:
-    """dm_dy's nine terms at a geometry already factored from yv."""
+    geo = _pinv_locked(yv)
     pv = geo.pinv
     c = geo.complement
     u = pv @ xv  # S+ x
     qx = geo.projector @ xv  # SS+ x
     cx = c @ xv  # (I - SS+) x
-    ya = yv[alpha]
-    y_pinv_a = ya @ pv  # (Y S+)_{alpha, :}
-    yu_a = float(yv[alpha] @ u)  # (Y S+ x)_alpha
-    ypu_a = float(yv[alpha] @ (pv @ u))  # (Y S+ S+ x)_alpha
-    yx_a = float(yv[alpha] @ xv)  # (Y x)_alpha
-    yqx_a = float(yv[alpha] @ qx)  # (Y SS+ x)_alpha
-    out = cx[beta] * np.outer(pv @ (pv @ ya), qx)
-    out -= yu_a * np.outer(pv[:, beta], qx)
-    out -= u[beta] * np.outer(pv @ ya, qx)
-    out += ypu_a * np.outer(c[:, beta], qx)
-    out += xv[beta] * np.outer(u, y_pinv_a)
-    out += yx_a * np.outer(u, pv[beta, :])
-    out += yu_a * np.outer(u, c[beta, :])
-    out -= qx[beta] * np.outer(u, y_pinv_a)
-    out -= yqx_a * np.outer(u, pv[beta, :])
+    n, p = yv.shape
+    out = np.empty((n, p, p, p))
+    for alpha, beta in np.ndindex(n, p):
+        ya = yv[alpha]
+        y_pinv_a = ya @ pv  # (Y S+)_{alpha, :}
+        yu_a = float(ya @ u)  # (Y S+ x)_alpha
+        ypu_a = float(ya @ (pv @ u))  # (Y S+ S+ x)_alpha
+        yx_a = float(ya @ xv)  # (Y x)_alpha
+        yqx_a = float(ya @ qx)  # (Y SS+ x)_alpha
+        o = out[alpha, beta]
+        o[...] = cx[beta] * np.outer(pv @ (pv @ ya), qx)
+        o -= yu_a * np.outer(pv[:, beta], qx)
+        o -= u[beta] * np.outer(pv @ ya, qx)
+        o += ypu_a * np.outer(c[:, beta], qx)
+        o += xv[beta] * np.outer(u, y_pinv_a)
+        o += yx_a * np.outer(u, pv[beta, :])
+        o += yu_a * np.outer(u, c[beta, :])
+        o -= qx[beta] * np.outer(u, y_pinv_a)
+        o -= yqx_a * np.outer(u, pv[beta, :])
     return out
 
 
@@ -246,14 +223,15 @@ def _central_diff_stack(fn: Callable[[np.ndarray], object], y: np.ndarray) -> np
     return ((values[:cells] - values[cells:]) / step).reshape((n, p) + values.shape[1:])
 
 
-def _locked_x_stack(x: np.ndarray, ys: np.ndarray, rank: int) -> tuple[np.ndarray, np.ndarray]:
+def _locked_x_stack(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(S+ x, SS+ x) for each factor of a (count, n, p) stack, with S+ and
     SS+ formed exactly as _pinv_locked forms them (descending spectrum,
-    leading `rank` eigenvalues inverted, both matrices symmetrised).
+    leading min(n, p) eigenvalues inverted, both matrices symmetrised).
 
     sym_eigen's own symmetrisation is left out: _gram's output is already
     exactly symmetric, so it would return the same bits.
     """
+    rank = min(ys.shape[1:])
     w, v = np.linalg.eigh(_gram(ys))
     w = w[:, ::-1]
     # A contiguous copy, like sym_eigen's, keeps matmul on the same BLAS path.
@@ -274,10 +252,8 @@ def _locked_x_stack(x: np.ndarray, ys: np.ndarray, rank: int) -> tuple[np.ndarra
 
 def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_df_dy at every (alpha, beta), as an (n, p) array."""
-    k = min(y.shape)
-
     def f(ys: np.ndarray) -> list[float]:
-        u, _ = _locked_x_stack(x, ys, k)
+        u, _ = _locked_x_stack(x, ys)
         # Row by row: a stacked u @ x does not give the dot's bits.
         return [float(x @ ui) for ui in u]
 
@@ -286,10 +262,8 @@ def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_dm_dy at every (alpha, beta), as an (n, p, p, p) array."""
-    k = min(y.shape)
-
     def m(ys: np.ndarray) -> np.ndarray:
-        u, q = _locked_x_stack(x, ys, k)
+        u, q = _locked_x_stack(x, ys)
         return u[:, :, None] * q[:, None, :]
 
     return _central_diff_stack(m, y)
@@ -310,13 +284,13 @@ def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
     """
     xv, yv = _checked_xy(x, y)
     n, p = yv.shape
-    geo, k = _locked_geometry(yv)
+    geo = _pinv_locked(yv)
     u = geo.pinv @ xv
     f = float(xv @ u)
-    analytic = risk._trace_grad_form(r(f), r.deriv(f), f, k, p)
+    analytic = risk._trace_grad_form(r(f), r.deriv(f), f, geo.rank, p)
 
     def field(ys: np.ndarray) -> np.ndarray:
-        ux, qx = _locked_x_stack(xv, ys, k)
+        ux, qx = _locked_x_stack(xv, ys)
         scale = []
         for ui in ux:
             fx = float(xv @ ui)
@@ -627,7 +601,7 @@ def sample_identity_config(p: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         if gap < CONFIG_MIN_GAP * max(w[0], 1.0):
             continue
-        if float(x @ (_pinv_locked(y, k).pinv @ x)) < CONFIG_MIN_F:
+        if float(x @ (_pinv_locked(y).pinv @ x)) < CONFIG_MIN_F:
             continue
         return x, y
     raise RuntimeError(f"no acceptable (x, Y) configuration in {CONFIG_MAX_TRIES} draws")
@@ -678,21 +652,17 @@ def _fd_sweep(
 
 
 def _ds_dy_checks(x, y, r) -> list[IdentityReport]:
-    fd = _central_diff_stack(_gram, y)
-    return [_report("ds_dy", ds_dy(y, a, b), fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
+    ds, fd = ds_dy(y), _central_diff_stack(_gram, y)
+    return [_report("ds_dy", ds[a, b], fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
 
 
 def _df_dy_checks(x, y, r) -> list[IdentityReport]:
-    return [_report("df_dy", df_dy_matrix(x, y), _stacked_fd_df_dy(x, y), FD_TOLERANCE)]
+    return [_report("df_dy", df_dy(x, y), _stacked_fd_df_dy(x, y), FD_TOLERANCE)]
 
 
 def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
-    geo, _ = _locked_geometry(y)
-    fd = _stacked_fd_dm_dy(x, y)
-    return [
-        _report("dm_dy", _dm_dy_at(x, y, geo, a, b), fd[a, b], FD_TOLERANCE)
-        for a, b in np.ndindex(y.shape)
-    ]
+    dm, fd = dm_dy(x, y), _stacked_fd_dm_dy(x, y)
+    return [_report("dm_dy", dm[a, b], fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
 
 
 def _div_x_checks(x, y, r) -> list[IdentityReport]:
@@ -705,8 +675,8 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     reassemble the quadratic coefficient of the risk-difference integrand,
     r^2 (n + p - 2m + 3)/F - 4 r r'."""
     n, p = y.shape
-    m = min(n, p)
-    geo = _pinv_locked(y, m)
+    geo = _pinv_locked(y)
+    m = geo.rank
     u = geo.pinv @ x
     f = float(x @ u)
     rf = r(f)
@@ -789,11 +759,18 @@ def run_default_suite(
     10 000 replicates at each of two shapes, whatever mc_replicates is.
     `only` restricts to a single name.
     """
+    wanted = suite_names(only, fd_configs, mc_replicates)
+    return [_SUITE[name](seed, fd_configs, mc_replicates) for name in wanted]
+
+
+def suite_names(only: str | None, fd_configs: int, mc_replicates: int) -> tuple[str, ...]:
+    """The identities run_default_suite runs at these settings, in report
+    order. Raises ValueError for an unknown `only`, fd_configs below 1 or
+    mc_replicates below MC_MIN_REPLICATES."""
     if only is not None and only not in _SUITE:
         raise ValueError(f"unknown identity {only!r}; choose from {', '.join(SUITE_NAMES)}")
     if fd_configs < 1:
         raise ValueError(f"fd_configs must be at least 1, got {fd_configs}")
     if mc_replicates < MC_MIN_REPLICATES:
         raise ValueError(f"replicates must be at least {MC_MIN_REPLICATES}, got {mc_replicates}")
-    wanted = [only] if only else SUITE_NAMES
-    return [_SUITE[name](seed, fd_configs, mc_replicates) for name in wanted]
+    return (only,) if only else SUITE_NAMES

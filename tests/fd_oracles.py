@@ -10,11 +10,17 @@ from typing import Callable
 
 import numpy as np
 
-from mpshrink.identities import _checked_index, _checked_xy, _fd_step, _gram, _pinv_locked
+from mpshrink.identities import _checked_xy, _fd_step, _gram, _pinv_locked
 
 
-def _m_locked(x: np.ndarray, y: np.ndarray, rank: int) -> np.ndarray:
-    geo = _pinv_locked(y, rank)
+def _checked_index(y: np.ndarray, alpha: int, beta: int) -> None:
+    n, p = y.shape
+    if not (0 <= alpha < n and 0 <= beta < p):
+        raise IndexError(f"(alpha, beta) = ({alpha}, {beta}) outside a {n} x {p} factor")
+
+
+def _m_locked(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    geo = _pinv_locked(y)
     u = geo.pinv @ x
     return np.outer(u, geo.projector @ x)  # S+ x x' S S+
 
@@ -41,13 +47,11 @@ def fd_df_dy(x, y, alpha: int, beta: int) -> float:
     """Central difference of F = x' S+ x, pseudoinverse at locked rank."""
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
-    k = min(yv.shape)
-    return float(_central_diff_y(lambda m: xv @ (_pinv_locked(m, k).pinv @ xv), yv, alpha, beta))
+    return float(_central_diff_y(lambda m: xv @ (_pinv_locked(m).pinv @ xv), yv, alpha, beta))
 
 
 def fd_dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
     """Central difference of S+ x x' S S+, pseudoinverse at locked rank."""
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
-    k = min(yv.shape)
-    return _central_diff_y(lambda m: _m_locked(xv, m, k), yv, alpha, beta)
+    return _central_diff_y(lambda m: _m_locked(xv, m), yv, alpha, beta)

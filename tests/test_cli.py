@@ -531,6 +531,48 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_verify_names_an_identity_that_raises_and_exits_1(monkeypatch, capsys):
+    # Replicate 3's variates are zeroed, so its S = 0 and stein_haff's
+    # shrinkage builder raises RankDegenerateError, a ValueError: a failure
+    # of the run, not a bad argument.
+    from mpshrink import randgen
+
+    draw = randgen.batch_standard_normal
+
+    def zero_row_3(seed, start, count, width):
+        z = draw(seed, start, count, width)
+        if start <= 3 < start + count:
+            z[3 - start] = 0.0
+        return z
+
+    monkeypatch.setattr(randgen, "batch_standard_normal", zero_row_3)
+    assert verify(only="stein_haff", mc_replicates=1000, fd_configs=1) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert json.loads(lines[0]) == {"identity": "stein_haff", "error": "degenerate F at replicate 3"}
+    assert re.fullmatch(r"verify: 0 identities in \d+\.\d\d s", lines[1])
+    assert captured.out.split() == "identity analytic oracle abs_err rel_err tol result".split()
+
+
+def test_verify_runs_the_other_identities_after_one_raises(monkeypatch, tmp_path, capsys):
+    from mpshrink import cli
+    from mpshrink.identities import SUITE_NAMES, IdentityReport, RankDegenerateError
+
+    def fake_suite(seed, only, fd_configs, mc_replicates):
+        if only == "dm_dy":
+            raise RankDegenerateError("eigenvalue 2 of S is 0")
+        return [IdentityReport(only, 1.0, 1.0, 0.0, 0.0, 1e-5, True)]
+
+    monkeypatch.setattr(cli.identities, "run_default_suite", fake_suite)
+    assert verify(out_dir=str(tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert '{"identity": "dm_dy", "error": "eigenvalue 2 of S is 0"}\n' in captured.err
+    ran = [name for name in SUITE_NAMES if name != "dm_dy"]
+    assert [line.split()[0] for line in captured.out.splitlines()[1:]] == ran
+    csv_rows = (tmp_path / "identities.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in csv_rows] == ran
+
+
 # ---------------------------------------------------------------------- main
 
 def test_main_run_subcommand(tmp_path, capsys):

@@ -2,7 +2,8 @@
 the package in src/.
 
 Each demo runs from a copy in a temporary directory, because
-risk_simulation.py writes its SVG next to itself.
+risk_simulation.py writes its SVG next to itself, and under
+-W error::RuntimeWarning, the warning policy of the test suite.
 """
 
 import os
@@ -36,7 +37,7 @@ def test_demo_runs(demo, tmp_path):
     shutil.copy(demo, script)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(script)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

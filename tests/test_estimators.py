@@ -193,6 +193,24 @@ def test_f_degenerate_rules():
     assert np.array_equal(flags, [False, True])
 
 
+def test_f_degenerate_infinite_lambda_never_forms_zero_times_inf():
+    """At |x|^2 = 0 with an infinite lambda_max(S+), or its bound, the F test
+    reads False (as the nan comparison did) and warns of nothing; an x = 0
+    draw is still flagged through P_S x = 0."""
+    inf = np.inf
+    assert not f_degenerate(1.0, 0.0, 3, 1.0, inf)
+    assert f_degenerate(0.0, 0.0, 3, 0.0, inf)
+    assert f_degenerate(1.0, 1.0, 3, 1.0, inf)
+    flags = f_degenerate(
+        np.array([0.0, 1.0, 1.0, 1e-13]),
+        np.array([0.0, 0.0, 1.0, 1.0]),
+        np.array([3, 3, 3, 3]),
+        np.array([0.0, 1.0, 1.0, 1.0]),
+        np.array([inf, inf, 1.0, 1.0]),
+    )
+    assert np.array_equal(flags, [True, False, False, True])
+
+
 def test_estimate_degenerate_orthogonal_x():
     out = estimate(JamesStein(0.5), np.array([0.0, 0.0, 5.0]), S0)
     assert out.degenerate

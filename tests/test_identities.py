@@ -25,7 +25,6 @@ from mpshrink.identities import (
     _stacked_fd_dm_dy,
     _worst,
     df_dy,
-    df_dy_matrix,
     div_x_identity,
     dm_dy,
     ds_dy,
@@ -93,57 +92,50 @@ def test_pinv_fixed_rank_validates_rank():
 
 def test_ds_dy_single_row_symbolic():
     # Y = [[a, b]]: S = [[a^2, ab], [ab, b^2]], so dS/dY_00 = [[2a, b], [b, 0]]
-    y = np.array([[3.0, 5.0]])
-    assert np.array_equal(ds_dy(y, 0, 0), np.array([[6.0, 5.0], [5.0, 0.0]]))
-    assert np.array_equal(ds_dy(y, 0, 1), np.array([[0.0, 3.0], [3.0, 10.0]]))
+    ds = ds_dy(np.array([[3.0, 5.0]]))
+    assert ds.shape == (1, 2, 2, 2)
+    assert np.array_equal(ds[0, 0], np.array([[6.0, 5.0], [5.0, 0.0]]))
+    assert np.array_equal(ds[0, 1], np.array([[0.0, 3.0], [3.0, 10.0]]))
 
 
 def test_ds_dy_matches_fd():
     rng = np.random.default_rng(0)
     y = rng.standard_normal((3, 4))
+    ds = ds_dy(y)
+    assert ds.shape == (3, 4, 4, 4)
     for a in range(3):
         for b in range(4):
-            got = ds_dy(y, a, b)
+            got = ds[a, b]
             want = fd_ds_dy(y, a, b)
             assert np.array_equal(got, got.T)
             assert np.allclose(got, want, rtol=0, atol=1e-9)
 
 
-def test_ds_dy_index_errors():
-    y = np.zeros((2, 3))
-    with pytest.raises(IndexError):
-        ds_dy(y, 2, 0)
-    with pytest.raises(IndexError):
-        ds_dy(y, 0, 3)
+def test_derivatives_reject_misshaped_input():
+    _, y = suite_config(5, 3, seed=5)
     with pytest.raises(linalg.DimensionMismatchError):
-        ds_dy(np.zeros(3), 0, 0)
+        ds_dy(np.zeros(3))
+    with pytest.raises(linalg.DimensionMismatchError):
+        df_dy(np.ones(4), y)
+    with pytest.raises(linalg.DimensionMismatchError):
+        dm_dy(np.ones(4), y)
 
 
 # ---------------------------------------------------------------- dF / dY
 
 def test_df_dy_zero_x():
     _, y = suite_config(5, 3)
-    assert df_dy(np.zeros(5), y, 0, 0) == 0.0
-    assert np.array_equal(df_dy_matrix(np.zeros(5), y), np.zeros((3, 5)))
+    assert np.array_equal(df_dy(np.zeros(5), y), np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("p,n", FD_GRID)
 def test_df_dy_matches_fd(p, n):
     x, y = suite_config(p, n)
+    df = df_dy(x, y)
+    assert df.shape == (n, p)
     for a in range(n):
         for b in range(p):
-            got = df_dy(x, y, a, b)
-            want = fd_df_dy(x, y, a, b)
-            assert got == pytest.approx(want, rel=1e-6, abs=1e-8)
-
-
-def test_df_dy_matrix_consistent_with_entries():
-    x, y = suite_config(6, 4, seed=1)
-    mat = df_dy_matrix(x, y)
-    assert mat.shape == (4, 6)
-    for a in range(4):
-        for b in range(6):
-            assert mat[a, b] == pytest.approx(df_dy(x, y, a, b), rel=1e-12)
+            assert df[a, b] == pytest.approx(fd_df_dy(x, y, a, b), rel=1e-6, abs=1e-8)
 
 
 def test_df_dy_out_of_range_term_vanishes_at_full_rank():
@@ -152,42 +144,44 @@ def test_df_dy_out_of_range_term_vanishes_at_full_rank():
     geo = pseudo_inverse_from_eigen(sym_eigen((y.T @ y + (y.T @ y).T) / 2.0), rank=4)
     u = geo.pinv @ x
     first_term = -2.0 * np.outer(y @ u, u)
-    assert np.array_equal(df_dy_matrix(x, y), first_term)
+    assert np.array_equal(df_dy(x, y), first_term)
 
 
-def test_df_dy_rejects_rank_degenerate_y():
+# The three paths that factor Y through _pinv_locked.
+LOCKED_PATHS = {
+    "df_dy": df_dy,
+    "dm_dy": dm_dy,
+    "trace_grad_identity": lambda x, y: trace_grad_identity(x, y, smooth_r()),
+}
+
+
+@pytest.mark.parametrize("path", list(LOCKED_PATHS))
+def test_df_dy_rejects_rank_degenerate_y(path):
     y = np.zeros((3, 5))
     y[0] = [1.0, 0.0, 0.0, 0.0, 0.0]
     y[1] = y[0]
     y[2] = [0.0, 1.0, 0.0, 0.0, 0.0]  # rank 2 < min(n, p) = 3
-    with pytest.raises(RankDegenerateError):
-        df_dy(np.ones(5), y, 0, 0)
+    with pytest.raises(RankDegenerateError, match="eigenvalue 2 of S"):
+        LOCKED_PATHS[path](np.ones(5), y)
 
 
 # ---------------------------------------------------------------- dM / dY
 
 def test_dm_dy_zero_x():
     _, y = suite_config(5, 3, seed=3)
-    assert np.array_equal(dm_dy(np.zeros(5), y, 1, 2), np.zeros((5, 5)))
+    assert np.array_equal(dm_dy(np.zeros(5), y), np.zeros((3, 5, 5, 5)))
 
 
 @pytest.mark.parametrize("p,n", FD_GRID)
 def test_dm_dy_matches_fd(p, n):
     x, y = suite_config(p, n, seed=4)
+    dm = dm_dy(x, y)
+    assert dm.shape == (n, p, p, p)
     for a in range(n):
         for b in range(p):
-            got = dm_dy(x, y, a, b)
             want = fd_dm_dy(x, y, a, b)
-            err = np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want))
+            err = np.linalg.norm(dm[a, b] - want) / max(1.0, np.linalg.norm(want))
             assert err <= 1e-6
-
-
-def test_dm_dy_index_errors():
-    x, y = suite_config(5, 3, seed=5)
-    with pytest.raises(IndexError):
-        dm_dy(x, y, 3, 0)
-    with pytest.raises(linalg.DimensionMismatchError):
-        dm_dy(np.ones(4), y, 0, 0)
 
 
 # ------------------------------------------------------ stacked FD sweeps
@@ -206,15 +200,16 @@ def test_stacked_fd_sweeps_match_per_entry_oracles(p, n, seed):
         assert np.array_equal(ds[a, b], fd_ds_dy(y, a, b))
         assert np.array_equal(df[a, b], fd_df_dy(x, y, a, b))
         assert np.array_equal(dm[a, b], fd_dm_dy(x, y, a, b))
-    # The suite's checks report exactly what the per-entry forms give.
+    # The suite's checks report exactly what the per-entry oracles give.
     entries = list(np.ndindex(n, p))
+    ds_an, dm_an = ds_dy(y), dm_dy(x, y)
     assert _ds_dy_checks(x, y, None) == [
-        _report("ds_dy", ds_dy(y, a, b), fd_ds_dy(y, a, b), 1e-5) for a, b in entries
+        _report("ds_dy", ds_an[a, b], fd_ds_dy(y, a, b), 1e-5) for a, b in entries
     ]
     fd = np.array([[fd_df_dy(x, y, a, b) for b in range(p)] for a in range(n)])
-    assert _df_dy_checks(x, y, None) == [_report("df_dy", df_dy_matrix(x, y), fd, 1e-5)]
+    assert _df_dy_checks(x, y, None) == [_report("df_dy", df_dy(x, y), fd, 1e-5)]
     assert _dm_dy_checks(x, y, None) == [
-        _report("dm_dy", dm_dy(x, y, a, b), fd_dm_dy(x, y, a, b), 1e-5) for a, b in entries
+        _report("dm_dy", dm_an[a, b], fd_dm_dy(x, y, a, b), 1e-5) for a, b in entries
     ]
 
 
@@ -224,10 +219,8 @@ def test_stacked_fd_sweeps_match_per_entry_oracles(p, n, seed):
 def test_trace_grad_stacked_oracle_matches_per_entry_sum(p, n, seed, constant):
     x, y = suite_config(p, n, seed)
     r = constant_shrinkage(0.3) if constant else smooth_r()
-    k = min(n, p)
-
     def field(m):
-        g = _pinv_locked(m, k)
+        g = _pinv_locked(m)
         ux = g.pinv @ x
         fx = float(x @ ux)
         rfx = r(fx)

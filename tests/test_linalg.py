@@ -619,6 +619,16 @@ def test_factor_stack_keeps_zero_rows_and_small_normal_y(n):
     assert np.array_equal(factor_stack(y).rank, [min(n, 10), 0, min(n - 1, 10)])
 
 
+def test_batch_geometry_flags_zero_x_at_an_infinite_bound():
+    """At |Y| ~ 1e-150 the certificate's bound on lambda_max(S+) is inf; an
+    x = 0 draw is flagged degenerate without forming 0 * inf, which tier-1's
+    RuntimeWarning filter would turn into an error."""
+    y = 1e-150 * np.random.default_rng(0).standard_normal((2, 5, 10))
+    ba, degen = risk.batch_geometry(np.zeros((2, 10)), y)
+    assert ba.factor.certified and np.all(np.isinf(ba.factor.lam_bound))
+    assert np.array_equal(degen, [True, True])
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     p=st.integers(min_value=5, max_value=24),
