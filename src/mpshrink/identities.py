@@ -383,9 +383,9 @@ def stein_identity_mc(
     """E[2 g'Sigma^{-1}(X - theta)] against E[2 div_x g] for g = delta - X.
 
     X ~ N(theta, sigma) and S ~ Wishart(n, sigma) are drawn fresh per
-    replicate (stream i = replicate i, X variates then Y variates). The
-    divergence side uses the closed form; both sides are averaged and
-    compared at 3 combined standard errors.
+    replicate (stream i = replicate i, X variates then Y variates, read
+    slab by slab through risk.slabs). The divergence side uses the closed
+    form; both sides are averaged and compared at 3 combined standard errors.
     """
     t, sqrt_sigma, sigma_inv = _mc_setup(replicates, MC_MIN_REPLICATES, n, sigma, theta)
     r = spec.r
@@ -393,16 +393,18 @@ def stein_identity_mc(
     rhs = np.empty(replicates)
 
     def body(start: int, stop: int) -> None:
-        x, y = randgen.batch_normal_wishart(t.size, n, t, sqrt_sigma, seed, start, stop - start)
-        ba, degen = risk.batch_geometry(x, y)
-        if degen.any():
-            i = start + int(np.argmax(degen))
-            raise RankDegenerateError(f"degenerate F at replicate {i}")
-        rf = r.value(ba.f)
-        g = -(rf / ba.f)[:, None] * ba.psx
-        resid = np.einsum("ij,rj->ri", sigma_inv, x - t)
-        lhs[start:stop] = 2.0 * np.einsum("ri,ri->r", g, resid)
-        rhs[start:stop] = -2.0 * risk._div_form(rf, r.deriv(ba.f), ba.f, ba.rank.astype(float))
+        streams = randgen.StreamReader(seed, start, stop - start)
+        x = t + streams.read(t.size) @ sqrt_sigma
+        for lo, hi, y in risk.slabs(streams, n, sqrt_sigma):
+            ba, degen = risk.batch_geometry(x[lo:hi], y)
+            if degen.any():
+                i = start + lo + int(np.argmax(degen))
+                raise RankDegenerateError(f"degenerate F at replicate {i}")
+            rf = r.value(ba.f)
+            g = -(rf / ba.f)[:, None] * ba.psx
+            resid = np.einsum("ij,rj->ri", sigma_inv, x[lo:hi] - t)
+            lhs[start + lo : start + hi] = 2.0 * np.einsum("ri,ri->r", g, resid)
+            rhs[start + lo : start + hi] = -2.0 * risk._div_form(rf, r.deriv(ba.f), ba.f, ba.rank)
 
     risk.map_chunks(replicates, body)
     return _mc_report("stein", lhs, rhs)
@@ -416,8 +418,7 @@ def eye_g_builder(p: int) -> GBuilder:
     eye = np.eye(p)
 
     def build(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        count = y.shape[0]
-        return np.broadcast_to(eye, (count, p, p)), np.zeros(count)
+        return np.broadcast_to(eye, (len(y), p, p)), np.zeros(len(y))
 
     return build
 
@@ -438,11 +439,9 @@ def shrinkage_g_builder(x, r: ShrinkageFunction) -> GBuilder:
             raise RankDegenerateError(
                 f"degenerate F = {ba.f[i]:.6e} at stack entry {i} in G builder", entry=i
             )
-        rf = r.value(ba.f)
-        rdf = r.deriv(ba.f)
+        rf, rdf = r.value(ba.f), r.deriv(ba.f)
         g = (rf * rf / (ba.f * ba.f))[:, None, None] * ba.spx[:, :, None] * ba.psx[:, None, :]
-        trace_grad = risk._trace_grad_form(rf, rdf, ba.f, ba.rank, xv.size)
-        return g, trace_grad
+        return g, risk._trace_grad_form(rf, rdf, ba.f, ba.rank, xv.size)
 
     return build
 
@@ -457,10 +456,10 @@ def stein_haff_mc(
     """E[tr(Sigma^{-1} S G)] against E[n tr(G) + tr(Y' grad_Y G')].
 
     S = Y'Y is drawn fresh per replicate (stream i yields the n*p variates
-    of Y, row-major). g_builder maps a chunk's (R, n, p) stack of Y to the
-    (R, p, p) stack of G and the (R,) analytic gradient traces. A
-    RankDegenerateError from it that names a stack entry is raised again
-    naming the replicate.
+    of Y, row-major), slab by slab through risk.slabs. g_builder maps a
+    slab's (R, n, p) stack of Y to the (R, p, p) stack of G and the (R,)
+    analytic gradient traces. A RankDegenerateError from it that names a
+    stack entry is raised again naming the replicate.
     """
     p = linalg.symmetrize(sigma).shape[0]
     _, sqrt_sigma, sigma_inv = _mc_setup(replicates, MC_MIN_REPLICATES, n, sigma, np.zeros(p))
@@ -468,25 +467,23 @@ def stein_haff_mc(
     rhs = np.empty(replicates)
 
     def body(start: int, stop: int) -> None:
-        count = stop - start
-        z = randgen.batch_standard_normal(seed, start, count, n * p)
-        y = z.reshape(count, n, p) @ sqrt_sigma
-        try:
-            g, trace_grad = g_builder(y)
-        except RankDegenerateError as exc:
-            if exc.entry is None:
-                raise
-            raise RankDegenerateError(f"degenerate F at replicate {start + exc.entry}") from exc
-        g = np.asarray(g, dtype=float)
-        trace_grad = np.asarray(trace_grad, dtype=float)
-        if g.shape != (count, p, p) or trace_grad.shape != (count,):
-            raise linalg.DimensionMismatchError(
-                f"G builder returned shapes {g.shape} and {trace_grad.shape}, "
-                f"expected ({count}, {p}, {p}) and ({count},)"
-            )
-        s = y.transpose(0, 2, 1) @ y
-        lhs[start:stop] = np.einsum("rij,rji->r", sigma_inv @ s, g)
-        rhs[start:stop] = n * np.einsum("rii->r", g) + trace_grad
+        streams = randgen.StreamReader(seed, start, stop - start)
+        for lo, hi, y in risk.slabs(streams, n, sqrt_sigma):
+            try:
+                g, trace_grad = (np.asarray(a, dtype=float) for a in g_builder(y))
+            except RankDegenerateError as exc:
+                if exc.entry is None:
+                    raise
+                i = start + lo + exc.entry
+                raise RankDegenerateError(f"degenerate F at replicate {i}") from exc
+            if g.shape != (hi - lo, p, p) or trace_grad.shape != (hi - lo,):
+                raise linalg.DimensionMismatchError(
+                    f"G builder returned shapes {g.shape} and {trace_grad.shape}, "
+                    f"expected ({hi - lo}, {p}, {p}) and ({hi - lo},)"
+                )
+            s = y.transpose(0, 2, 1) @ y
+            lhs[start + lo : start + hi] = np.einsum("rij,rji->r", sigma_inv @ s, g)
+            rhs[start + lo : start + hi] = n * np.einsum("rii->r", g) + trace_grad
 
     risk.map_chunks(replicates, body)
     return _mc_report("stein_haff", lhs, rhs)
@@ -543,21 +540,21 @@ def finiteness_probe(
     keep finite.
     """
     t, sqrt_sigma, _ = _mc_setup(replicates, 1, n, sigma, np.zeros(p))
-    inv_f = np.empty(replicates)
-    div = np.empty(replicates) if r is not None else None
+    f, m = np.empty(replicates), np.empty(replicates)
 
     def body(start: int, stop: int) -> None:
-        x, y = randgen.batch_normal_wishart(p, n, t, sqrt_sigma, seed, start, stop - start)
-        ba = linalg.batch_pinv_factor(y, x)
-        with np.errstate(divide="ignore"):
-            inv_f[start:stop] = np.where(ba.f > 0.0, 1.0 / ba.f, np.inf)
-        if r is not None:
-            rf = r.value(ba.f)
-            rdf = r.deriv(ba.f)
-            m = ba.rank.astype(float)
-            div[start:stop] = np.abs((n + p - m + 3.0) * rf * rf / ba.f - 4.0 * rf * rdf)
+        streams = randgen.StreamReader(seed, start, stop - start)
+        x = t + streams.read(p) @ sqrt_sigma
+        for lo, hi, y in risk.slabs(streams, n, sqrt_sigma):
+            ba = linalg.apply_factor(linalg.factor_stack(y), x[lo:hi])
+            f[start + lo : start + hi], m[start + lo : start + hi] = ba.f, ba.rank
 
     risk.map_chunks(replicates, body)
+    inv_f = np.divide(1.0, f, out=np.full(replicates, np.inf), where=f > 0.0)
+    div = None
+    if r is not None:
+        rf, rdf = r.value(f), r.deriv(f)
+        div = np.abs((n + p - m + 3.0) * rf * rf / f - 4.0 * rf * rdf)
     return FinitenessSummary(
         inv_f=SummaryStats.of(inv_f),
         divergence=None if div is None else SummaryStats.of(div),

@@ -312,13 +312,14 @@ def _stream_words_type() -> type:
 
 class StreamReader:
     """Streams (master_seed, start + j), j < count, opened once and read in
-    order: read(width, lo, hi) gives the next width standard normals of rows
-    lo .. hi-1, and as numpy's ziggurat keeps no state between calls, a
-    stream read in several calls gives the variates of one call. The words
-    are hashed for the whole block and each row's PCG64 seeds itself from
-    its own. Row 0 is checked against RngStream.generator(), the reference,
-    on its words at opening and on every variate read; a mismatch raises
-    RuntimeError rather than letting the variates drift.
+    order: read(width, lo, hi, out) gives the next width standard normals of
+    rows lo .. hi-1 (into out, of shape (hi - lo, width)), and as numpy's
+    ziggurat keeps no state between calls, a stream read in several calls
+    gives the variates of one call. The words are hashed for the whole block
+    and each row's PCG64 seeds itself from its own. Row 0 is checked against
+    RngStream.generator(), the reference, on its words at opening and on
+    every variate read; a mismatch raises RuntimeError rather than letting
+    the variates drift.
     """
 
     def __init__(self, master_seed: int, start: int, count: int):
@@ -345,18 +346,16 @@ class StreamReader:
         if width < 0:
             raise ValueError(f"width must be nonnegative, got {width}")
         hi = self.count if hi is None else hi
+        if not 0 <= lo <= hi <= self.count:
+            raise ValueError(f"rows {lo} .. {hi} are not within 0 .. {self.count}")
         z = np.empty((hi - lo, width)) if out is None else out
+        if z.shape != (hi - lo, width):
+            raise ValueError(f"out has shape {z.shape}, expected ({hi - lo}, {width})")
         for g, row in zip(self._rows[lo:hi], z):
             g.standard_normal(out=row)
         if lo == 0 and len(z):
             self._check(np.array_equal(z[0], self._reference.standard_normal(width)))
         return z
-
-
-def batch_standard_normal(master_seed: int, start: int, count: int, width: int) -> np.ndarray:
-    """(count, width) array whose row j is the first width standard normals
-    of stream (master_seed, start + j), read from one StreamReader."""
-    return StreamReader(master_seed, start, count).read(width)
 
 
 def wishart_slab(streams: StreamReader, n: int, sqrt_sigma: np.ndarray, lo: int, hi: int, work):
@@ -385,9 +384,10 @@ def batch_normal_wishart(
     reproduces sample_normal followed by sample_wishart on the same
     generator variate for variate.
 
-    Returns X with shape (count, p) and Y with shape (count, n, p).
+    Returns X with shape (count, p) and Y with shape (count, n, p). Engines
+    draw through risk.slabs; this is the whole-chunk reference tests hold it to.
     """
-    z = batch_standard_normal(master_seed, start, count, p + n * p)
+    z = StreamReader(master_seed, start, count).read(p + n * p)
     x = theta + z[:, :p] @ sqrt_sigma
     y = z[:, p:].reshape(count, n, p) @ sqrt_sigma
     return x, y

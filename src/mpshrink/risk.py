@@ -31,8 +31,20 @@ from .estimators import (
 # thread counts.
 CHUNK = 2048
 
-# run_study draws and factors Y in slabs of about this many bytes of variates.
+# slabs hands every engine its Y in slabs of about this many bytes of variates.
 SLAB_BYTES = 1 << 20
+
+
+def slabs(streams: randgen.StreamReader, n: int, sqrt_sigma: np.ndarray):
+    """The one slab loop of every engine: (lo, hi, Y) over the opened streams'
+    rows, Y = randgen.wishart_slab's next n*p variates of rows lo .. hi-1, a
+    view of buffers reused slab after slab (fresh pages fault in serially)."""
+    count, p = streams.count, sqrt_sigma.shape[0]
+    rows = max(1, SLAB_BYTES // (8 * p * max(n, p)))
+    work = np.empty((min(rows, count), n * p)), np.empty((min(rows, count), n, p))
+    for lo in range(0, count, rows):
+        hi = min(lo + rows, count)
+        yield lo, hi, randgen.wishart_slab(streams, n, sqrt_sigma, lo, hi, work)
 
 
 def map_chunks(total: int, body: Callable[[int, int], object], jobs: int = 1) -> None:
@@ -102,9 +114,9 @@ def unbiased_risk_difference(x, s, r: ShrinkageFunction, n: int) -> float:
 
 
 def batch_geometry(x, y) -> tuple[linalg.BatchPinvApply, np.ndarray]:
-    """Batched pinv_geometry for S_i = Y_i'Y_i: batch_pinv_factor(y, x) and
-    the (R,) f_degenerate mask, the rule every engine applies."""
-    ba = linalg.batch_pinv_factor(y, x)
+    """Batched pinv_geometry for S_i = Y_i'Y_i: apply_factor(factor_stack(y),
+    x) and the (R,) f_degenerate mask, the rule every engine applies."""
+    ba = linalg.apply_factor(linalg.factor_stack(y), x)
     return ba, _degenerate(x, ba.f, ba.psx, ba.factor)
 
 
@@ -234,13 +246,12 @@ def run_study(
     integrand for that curve is evaluated on the same draws (a degenerate F
     aborts the run, naming the replicate).
 
-    Y is drawn and factored in slabs of about SLAB_BYTES of variates, the F
-    and mask of every theta taken at once while a slab's factor lives, so a
-    thread holds per-replicate vectors and one slab's work (its theta arrays
-    theta x rows x p), not CHUNK * n * p numbers. Work per
-    matrix or per row has the same bits in any slab; a 2-D product over
-    rows need not (BLAS picks its kernel by the row count), so z_x A,
-    z Sigma^-1 and P_S X Sigma^-1 are products over the whole chunk.
+    Y is drawn and factored slab by slab through slabs, the F and mask of
+    every theta taken while a slab's factor lives, so a thread holds
+    per-replicate vectors and one slab's work (theta x rows x p), not
+    CHUNK * n * p numbers. Work per matrix or row has the same bits in any
+    slab; a 2-D product over rows need not (BLAS picks its kernel by the
+    row count), so z_x A, z Sigma^-1 and P_S X Sigma^-1 span the chunk.
     linalg.factor_stack picks each slab's kernel: a draw of rank below n
     sends its slab to the p x p side, and the chunk's other slabs keep the
     solve side. Each chunk is one map_chunks body, run on `jobs` threads
@@ -260,7 +271,6 @@ def run_study(
 
     p, n, u = cfg.p, cfg.n, cfg.theta_direction
     tns = np.array(norms)[:, None, None]
-    rows = max(1, SLAB_BYTES // (8 * p * max(n, p)))
 
     def body(start: int, stop: int) -> None:
         count = stop - start
@@ -271,11 +281,7 @@ def run_study(
         q_zz = _rowdot(nsi, noise)
         f = np.empty((len(norms), count))
         psx_noise, psx_dir, rank = np.empty((count, p)), np.empty((count, p)), np.empty(count)
-        # One slab's variates and Y, reused slab after slab: fresh pages fault in serially.
-        work = np.empty((min(rows, count), n * p)), np.empty((min(rows, count), n, p))
-        for lo in range(0, count, rows):
-            hi = min(lo + rows, count)
-            y = randgen.wishart_slab(streams, n, sqrt_sigma, lo, hi, work)
+        for lo, hi, y in slabs(streams, n, sqrt_sigma):
             factor = linalg.factor_stack(y)
             if n < p and not factor.certified:
                 uncertified.add(start)

@@ -1,7 +1,8 @@
 """The package names the benchmark reaches into, checked at tier-1.
 
 perfbench/spans.py wraps package functions by attribute name (for example
-`linalg.sym_eigen`, `identities.f_degenerate`, `linalg.batch_pinv_apply`)
+`linalg.sym_eigen`, `identities.f_degenerate`, `linalg.batch_pinv_apply`,
+`randgen.batch_normal_wishart`, which no package code calls any more)
 and swaps `risk.ThreadPoolExecutor` for a pool that opens a `risk.chunk`
 span around each chunk. perfbench/worker.py's correctness gate calls
 `risk.run_replicates` and reads `risk.CHUNK`, `randgen.sample_wishart` and
@@ -91,6 +92,38 @@ def test_threaded_study_records_one_chunk_span_with_one_stream_open_per_block(mo
         opens = [s for s in recorded if s.name == "randgen.stream_open" and s.parent == chunk.sid]
         assert len(opens) == 1
     assert not [s for s in recorded if s.name == "randgen.draw"]
+
+
+def test_traced_verify_records_no_whole_chunk_draw(monkeypatch, capsys):
+    # The identity engines draw through risk.slabs, as run_study does, so a
+    # traced verify opens streams but records no `randgen.draw` span: the
+    # verify workload's randgen.draw_s reads 0, as the risk workloads' do.
+    spans = load_perfbench(monkeypatch, SPANS)
+    tracer = spans.Tracer()
+    try:
+        tracer.install()
+        assert cli.main(["verify", "--replicates", "1000", "--configs", "1"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = {s.name for s in tracer.take()}
+    engines = {"identities.stein", "identities.stein_haff", "identities.finiteness"}
+    assert engines | {"randgen.stream_open"} <= names
+    assert "randgen.draw" not in names
+
+
+def test_the_package_has_one_draw_path():
+    # batch_normal_wishart stays only for the tracer above and as the tests'
+    # whole-chunk reference: no package module calls it, and risk.slabs
+    # holds the one call of randgen.wishart_slab.
+    calls = []
+    for path in sorted(pathlib.Path(risk.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "func", None)
+            name = getattr(name, "attr", getattr(name, "id", None))
+            if isinstance(node, ast.Call) and name in ("batch_normal_wishart", "wishart_slab"):
+                calls.append((path.stem, name))
+    assert calls == [("risk", "wishart_slab")]
 
 
 def test_worker_gate_passes_on_a_fallback_seed(monkeypatch, tmp_path, capsys):

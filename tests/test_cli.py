@@ -532,20 +532,12 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 
 def test_verify_names_an_identity_that_raises_and_exits_1(monkeypatch, capsys):
-    # Replicate 3's variates are zeroed, so its S = 0 and stein_haff's
-    # shrinkage builder raises RankDegenerateError, a ValueError: a failure
-    # of the run, not a bad argument.
+    # Replicate 3's Y is zeroed, so its S = 0 and stein_haff's shrinkage
+    # builder raises RankDegenerateError, a ValueError: a failure of the
+    # run, not a bad argument.
     from mpshrink import randgen
 
-    draw = randgen.batch_standard_normal
-
-    def zero_row_3(seed, start, count, width):
-        z = draw(seed, start, count, width)
-        if start <= 3 < start + count:
-            z[3 - start] = 0.0
-        return z
-
-    monkeypatch.setattr(randgen, "batch_standard_normal", zero_row_3)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_at(3, _zero))
     assert verify(only="stein_haff", mc_replicates=1000, fd_configs=1) == 1
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

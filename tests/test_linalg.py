@@ -16,7 +16,6 @@ from mpshrink.linalg import (
     NotPositiveSemidefiniteError,
     apply_factor,
     batch_pinv_apply,
-    batch_pinv_factor,
     default_rel_tol,
     f_from_coords,
     factor_coords,
@@ -30,6 +29,12 @@ from mpshrink.linalg import (
     sym_sqrt_pd,
     symmetrize,
 )
+
+
+def batch_pinv_factor(y_stack, x_stack) -> BatchPinvApply:
+    """factor_stack(y_stack), then apply_factor with x_stack (R, p): what
+    risk.batch_geometry runs on each slab, before its degenerate mask."""
+    return apply_factor(factor_stack(y_stack), x_stack)
 
 
 def random_psd(rng, p, rank=None):
@@ -770,7 +775,7 @@ def designed_streams(x, y):
         start = 0
 
         def __init__(self, master_seed, start, count):
-            pass
+            self.count = count
 
         def read(self, width, lo=0, hi=None, out=None):
             z = x if width == p else y.reshape(r, n * p)[lo:hi]

@@ -11,8 +11,8 @@ from mpshrink.randgen import (
     Identity,
     RngStream,
     Spiked,
+    StreamReader,
     batch_normal_wishart,
-    batch_standard_normal,
     build_covariance,
     cov_label,
     sample_normal,
@@ -251,7 +251,7 @@ def test_batch_start_offset_consistency():
     width=st.integers(min_value=0, max_value=30),
 )
 def test_batch_standard_normal_rows_are_streams(seed, start, count, width):
-    z = batch_standard_normal(seed, start, count, width)
+    z = StreamReader(seed, start, count).read(width)
     assert z.shape == (count, width)
     for j in range(count):
         assert np.array_equal(z[j], RngStream(seed, start + j).generator().standard_normal(width))
@@ -269,7 +269,7 @@ def test_bulk_stream_opening_matches_seed_sequence(seed, base, offset, count, wi
     # Master seeds of 1 to 5 words; blocks that cross 2**32 and 2**64, where
     # the spawn key gains a word, and 2**65, where its words above bit 64 change.
     start = max(0, base + offset)
-    z = batch_standard_normal(seed, start, count, width)
+    z = StreamReader(seed, start, count).read(width)
     words = randgen._stream_words(seed, start, count)
     assert z.shape == (count, width) and words.shape == (count, 4)
     for j in range(count):
@@ -283,23 +283,23 @@ def test_bulk_stream_opening_matches_seed_sequence(seed, base, offset, count, wi
 def test_bulk_stream_opening_guard_names_the_stream(monkeypatch):
     monkeypatch.setattr(randgen, "_MULT_B", randgen._MULT_B ^ 2)
     with pytest.raises(RuntimeError, match=r"numpy .*stream_id=77\b"):
-        batch_standard_normal(5, 77, 3, 4)
+        StreamReader(5, 77, 3).read(4)
     # Width 0 draws nothing; the guard still compares the opened state.
     with pytest.raises(RuntimeError, match="stream_id=77"):
-        batch_standard_normal(5, 77, 1, 0)
+        StreamReader(5, 77, 1).read(0)
 
 
 @pytest.mark.parametrize("master_seed,start", [(-1, 0), (0, -1)])
 def test_batch_standard_normal_rejects_negative_addresses(master_seed, start):
     for count in (0, 2):
         with pytest.raises(ValueError, match="must be nonnegative"):
-            batch_standard_normal(master_seed, start, count, 3)
+            StreamReader(master_seed, start, count).read(3)
 
 
 @pytest.mark.parametrize("count,width,name", [(-1, 3, "count"), (2, -1, "width")])
 def test_batch_standard_normal_rejects_negative_shape_by_name(count, width, name):
     with pytest.raises(ValueError, match=f"^{name} must be nonnegative, got -1$"):
-        batch_standard_normal(5, 0, count, width)
+        StreamReader(5, 0, count).read(width)
 
 
 @pytest.mark.parametrize(
@@ -347,6 +347,69 @@ def test_one_call_opens_at_most_one_reference_stream(monkeypatch, count, opened)
         return reference(self)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    z = batch_standard_normal(11, 4096, count, 3)
+    z = StreamReader(11, 4096, count).read(3)
     assert z.shape == (count, 3)
     assert calls == [RngStream(11, 4096)] * opened
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    count=st.integers(min_value=1, max_value=7),
+    width=st.integers(min_value=0, max_value=12),
+    cuts=st.lists(st.integers(min_value=0, max_value=7), max_size=4),
+)
+def test_reads_of_row_slabs_equal_one_read_and_the_reference_streams(seed, count, width, cuts):
+    """Rows read in several (lo, hi) calls, every other one into a caller's
+    out, give the variates of one whole-block read and of each row's
+    RngStream.generator(); a second read of every row continues its stream."""
+    bounds = sorted({0, count, *(c % (count + 1) for c in cuts)})
+    streams = StreamReader(seed, 3, count)
+    parts = []
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        out = np.empty((hi - lo, width)) if k % 2 else None
+        parts.append(streams.read(width, lo, hi, out))
+        assert out is None or parts[-1] is out
+    z, more = np.concatenate(parts), streams.read(width + 2)
+    assert np.array_equal(z, StreamReader(seed, 3, count).read(width))
+    for j in range(count):
+        g = RngStream(seed, 3 + j).generator()
+        assert np.array_equal(z[j], g.standard_normal(width))
+        assert np.array_equal(more[j], g.standard_normal(width + 2))
+
+
+@pytest.mark.parametrize(
+    "lo,hi,out_shape,message",
+    [
+        (0, 6, None, r"^rows 0 \.\. 6 are not within 0 \.\. 3$"),
+        (2, 1, None, r"^rows 2 \.\. 1 are not within 0 \.\. 3$"),
+        (-1, 2, None, r"^rows -1 \.\. 2 are not within 0 \.\. 3$"),
+        (1, 3, (5, 4), r"^out has shape \(5, 4\), expected \(2, 4\)$"),
+        (0, None, (3, 7), r"^out has shape \(3, 7\), expected \(3, 4\)$"),
+    ],
+)
+def test_read_rejects_rows_outside_the_block_and_a_misshaped_out(lo, hi, out_shape, message):
+    """Rows past the block, a reversed or negative range and an out of
+    another shape than (hi - lo, width) are rejected before anything is
+    drawn, rather than returned as unwritten memory or drawn at out's width."""
+    streams = StreamReader(7, 0, 3)
+    out = None if out_shape is None else np.empty(out_shape)
+    with pytest.raises(ValueError, match=message):
+        streams.read(4, lo, hi, out)
+    assert np.array_equal(streams.read(4), StreamReader(7, 0, 3).read(4))
+
+
+def test_wishart_slab_writes_y_into_the_work_buffers_slab_by_slab():
+    """After each row's p X variates, wishart_slab over rows 0..3 and 3..5
+    of opened streams returns batch_normal_wishart's Y bit for bit, as a
+    view of the second work buffer."""
+    p, n, count = 4, 3, 5
+    root = linalg.sym_sqrt_pd(build_covariance(Autoregressive(0.5), p))
+    x_ref, y_ref = batch_normal_wishart(p, n, np.zeros(p), root, 9, 2, count)
+    streams = StreamReader(9, 2, count)
+    assert np.array_equal(np.zeros(p) + streams.read(p) @ root, x_ref)
+    work = np.empty((3, n * p)), np.empty((3, n, p))
+    for lo, hi in [(0, 3), (3, 5)]:
+        y = randgen.wishart_slab(streams, n, root, lo, hi, work)
+        assert y.shape == (hi - lo, n, p) and np.shares_memory(y, work[1])
+        assert np.array_equal(y, y_ref[lo:hi])

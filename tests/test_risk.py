@@ -23,6 +23,7 @@ from mpshrink.estimators import (
 )
 from mpshrink.identities import (
     RankDegenerateError,
+    finiteness_probe,
     shrinkage_g_builder,
     stein_haff_mc,
     stein_identity_mc,
@@ -346,9 +347,10 @@ def test_run_study_matches_run_replicates_at_each_theta(monkeypatch, n, jobs):
 
 
 def _defect_draws(i, defect):
-    """randgen.wishart_slab, run_study's slab draw, and
-    randgen.batch_normal_wishart, the identity engines' draw, each with
-    defect applied in place to replicate i's Y."""
+    """randgen.wishart_slab, the slab draw of every engine, and
+    randgen.batch_normal_wishart, the whole-chunk reference the tests read
+    the same draws from, each with defect applied in place to replicate i's
+    Y. Engines are patched with the first; the second is only an oracle."""
     slab_draw, batch_draw = randgen.wishart_slab, randgen.batch_normal_wishart
 
     def slab(streams, n, sqrt_sigma, lo, hi, work):
@@ -407,32 +409,79 @@ def test_map_chunks_propagates_a_chunk_error_from_the_pool(monkeypatch):
         risk.map_chunks(40, body, jobs=2)
 
 
+# Slab budgets for p = 5, n = 3 and where replicate 21 then sits: one slab
+# per 16-replicate chunk (entry 5 of the slab at 0), or slabs of 2 rows
+# (entry 1 of the slab at 4), so that the message must add the slab's offset.
+_SLAB_OFFSETS = {1 << 40: 5, 2 * 8 * 5 * 5: 1}
+
+
 def test_stein_identity_mc_names_degenerate_replicate_across_chunks(monkeypatch):
     # Replicate 21 sits in the second 16-replicate chunk, so the message
-    # must carry the chunk's offset, not the index within the chunk.
+    # must carry the chunk's and the slab's offsets, not the index within them.
     monkeypatch.setattr(risk, "CHUNK", 16)
-    monkeypatch.setattr(randgen, "batch_normal_wishart", _defect_draws(21, _zero)[1])
-    with pytest.raises(RankDegenerateError, match="replicate 21$"):
-        stein_identity_mc(np.zeros(5), np.eye(5), 3, Baranchik(constant_shrinkage(0.3)), replicates=1000)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(21, _zero)[0])
+    spec = Baranchik(constant_shrinkage(0.3))
+    for budget in _SLAB_OFFSETS:
+        monkeypatch.setattr(risk, "SLAB_BYTES", budget)
+        with pytest.raises(RankDegenerateError, match="replicate 21$"):
+            stein_identity_mc(np.zeros(5), np.eye(5), 3, spec, replicates=1000)
 
 
 def test_stein_haff_mc_names_degenerate_replicate_across_chunks(monkeypatch):
-    # The G builder sees one chunk's stack, in which replicate 21 is entry 5;
-    # stein_haff_mc adds the chunk's offset.
+    # The G builder sees one slab's stack, in which replicate 21 is entry 5
+    # (one slab per chunk) or 1 (slabs of 2 rows); stein_haff_mc adds the
+    # chunk's and the slab's offsets.
     monkeypatch.setattr(risk, "CHUNK", 16)
-    draw = randgen.batch_standard_normal
-
-    def zeroed(seed, start, count, size):
-        z = draw(seed, start, count, size)
-        if start <= 21 < start + count:
-            z[21 - start] = 0.0
-        return z
-
-    monkeypatch.setattr(randgen, "batch_standard_normal", zeroed)
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(21, _zero)[0])
     g_builder = shrinkage_g_builder(np.ones(5), constant_shrinkage(0.3))
-    with pytest.raises(RankDegenerateError, match="replicate 21$") as info:
-        stein_haff_mc(3, np.eye(5), g_builder, replicates=1000, seed=1)
-    assert "stack entry 5 " in str(info.value.__cause__)
+    for budget, entry in _SLAB_OFFSETS.items():
+        monkeypatch.setattr(risk, "SLAB_BYTES", budget)
+        with pytest.raises(RankDegenerateError, match="replicate 21$") as info:
+            stein_haff_mc(3, np.eye(5), g_builder, replicates=1000, seed=1)
+        assert f"stack entry {entry} " in str(info.value.__cause__)
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (3, 5), (8, 4), (50, 49)])
+def test_slabs_reproduce_the_whole_chunk_draw(monkeypatch, p, n):
+    """X read over the chunk, as the engines read it, and Y from risk.slabs
+    in slabs of 3 rows equal batch_normal_wishart's X and Y bit for bit,
+    across slab boundaries and a partial last slab; every slab's Y is a
+    view of the same reused buffer."""
+    monkeypatch.setattr(risk, "SLAB_BYTES", 3 * 8 * p * max(n, p))
+    root = linalg.sym_sqrt_pd(randgen.build_covariance(Autoregressive(0.5), p))
+    theta = np.full(p, 0.3)
+    x_ref, y_ref = batch_normal_wishart(p, n, theta, root, 7, 40, 20)
+    streams = randgen.StreamReader(7, 40, 20)
+    assert np.array_equal(theta + streams.read(p) @ root, x_ref)
+    bounds, first = [], None
+    for lo, hi, y in risk.slabs(streams, n, root):
+        first = y if first is None else first
+        assert np.shares_memory(y, first) and np.array_equal(y, y_ref[lo:hi])
+        bounds.append((lo, hi))
+    assert bounds == [(lo, min(lo + 3, 20)) for lo in range(0, 20, 3)]
+
+
+@pytest.mark.parametrize("p, n", [(5, 3), (3, 5), (8, 4)])
+def test_identity_engines_do_not_depend_on_the_slab_size(monkeypatch, p, n):
+    """stein_identity_mc, stein_haff_mc (shrinkage G builder) and
+    finiteness_probe give the same reports, bit for bit, with one slab per
+    chunk and with slabs of 1 and 7 rows, at Sigma = AR(0.5) and
+    theta = 0.3 * 1. Chunks of 384 replicates end in partial slabs."""
+    monkeypatch.setattr(risk, "CHUNK", 384)
+    sigma = randgen.build_covariance(Autoregressive(0.5), p)
+    theta, r = np.full(p, 0.3), constant_shrinkage(0.3)
+
+    def reports():
+        return (
+            stein_identity_mc(theta, sigma, n, Baranchik(r), replicates=1000, seed=5),
+            stein_haff_mc(n, sigma, shrinkage_g_builder(theta, r), replicates=1000, seed=6),
+            finiteness_probe(p, n, sigma, r=r, replicates=1000, seed=7),
+        )
+
+    whole = reports()
+    for rows in (1, 7):
+        monkeypatch.setattr(risk, "SLAB_BYTES", rows * 8 * p * max(n, p))
+        assert reports() == whole
 
 
 @settings(deadline=None, max_examples=60)
