@@ -685,7 +685,7 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
 
 
 def _stein_report(seed: int, replicates: int) -> IdentityReport:
-    spec = Baranchik(constant_shrinkage(0.3))
+    spec = Baranchik(_smooth_suite_r())
     subs = [
         stein_identity_mc(np.zeros(p), np.eye(p), n, spec, replicates, seed + 100 + i)
         for i, (p, n) in enumerate(MC_GRID)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpshrink import linalg
+from mpshrink import linalg, risk
 from mpshrink.estimators import Baranchik, constant_shrinkage, positive_part_shrinkage
 from mpshrink import identities
 from mpshrink.identities import (
@@ -478,6 +478,20 @@ def test_run_default_suite_checks_the_replicate_floor_before_any_identity(only, 
     with pytest.raises(ValueError, match=f"replicates must be at least {MC_MIN_REPLICATES}, got {few}"):
         run_default_suite(only=only, fd_configs=1, mc_replicates=few)
     assert calls == []
+
+
+def test_stein_check_fails_a_wrong_divergence(monkeypatch):
+    """The suite's stein check tests Baranchik with the smooth curve, whose
+    r(F)/F is bounded, so its 3-SE test is valid at MC_GRID's rank 3 (a
+    constant r gives the a(m - 2)/F term infinite variance there). At the
+    default seed and 1000 replicates it passes the closed-form divergence
+    and fails, by over 4 tolerances, one with (m - 1) in place of (m - 2)."""
+    (right,) = run_default_suite(seed=13, only="stein", mc_replicates=1000)
+    assert right.passed
+    monkeypatch.setattr(risk, "_div_form", lambda rf, rdf, f, m: 2.0 * rdf + rf * (m - 1.0) / f)
+    (wrong,) = run_default_suite(seed=13, only="stein", mc_replicates=1000)
+    assert not wrong.passed
+    assert wrong.abs_err > 4.0 * wrong.tolerance * max(1.0, abs(wrong.oracle))
 
 
 def test_mc_grid_is_the_three_by_five_pair():
