@@ -2,7 +2,7 @@
 
 perfbench/spans.py wraps package functions by attribute name (for example
 `linalg.sym_eigen`, `identities.f_degenerate`, `linalg.batch_pinv_apply`,
-`randgen.batch_normal_wishart`, which no package code calls any more)
+`randgen.batch_normal_wishart`, which only the tests and the tracer use)
 and swaps `risk.ThreadPoolExecutor` for a pool that opens a `risk.chunk`
 span around each chunk. perfbench/worker.py's correctness gate calls
 `risk.run_replicates` and reads `risk.CHUNK`, `randgen.sample_wishart` and
