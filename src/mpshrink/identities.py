@@ -94,28 +94,54 @@ def _checked_xy(x, y):
 
 def _gram(y: np.ndarray) -> np.ndarray:
     """S = Y'Y symmetrised, for one factor or a stack of them."""
-    s = np.swapaxes(y, -1, -2) @ y
-    return (s + np.swapaxes(s, -1, -2)) / 2.0
+    s = y.swapaxes(-1, -2) @ y
+    return (s + s.swapaxes(-1, -2)) / 2.0
 
 
 def _pinv_locked(y: np.ndarray) -> linalg.PseudoinverseResult:
-    """Pseudoinverse pieces for S = Y'Y at the rank locked to min(n, p).
+    """S+, SS+ and I - SS+ of S = Y'Y at the rank locked to min(n, p), for
+    one factor (n, p) or a stack (count, n, p), each factor's bits alike.
 
     Finite differences perturb Y while the analytic formulas assume locally
     constant rank; locking it keeps the eigenvalue cutoff from flipping
-    between the two perturbed evaluations. Raises RankDegenerateError when
-    the smallest retained eigenvalue is indistinguishable from the
-    discarded ones.
+    between the two perturbed evaluations. Raises ValueError for a
+    non-finite S or over linalg.MAX_DIM columns, and RankDegenerateError
+    (its bound is returned as cutoff) when the last retained eigenvalue
+    cannot be told apart from the discarded ones.
     """
-    k = min(y.shape)
-    dec = linalg.sym_eigen(_gram(y))
-    lam_max = max(dec.eigenvalues[0], 0.0)
-    if dec.eigenvalues[k - 1] <= 1e-10 * max(lam_max, 1.0):
+    *_, n, p = y.shape
+    if min(n, p) < 1 or p > linalg.MAX_DIM:
+        raise linalg.DimensionMismatchError(
+            f"Y has shape {y.shape}: it needs a row and 1 to {linalg.MAX_DIM} columns"
+        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = _gram(y)  # an overflow is rejected just below
+    if not np.isfinite(s).all():
+        raise ValueError("matrix entries must be finite")
+    k = min(n, p)
+    w, v = np.linalg.eigh(s)
+    w = w[..., ::-1]
+    # A contiguous copy keeps every matmul below on one BLAS path.
+    v = np.ascontiguousarray(v[..., ::-1])
+    cutoff = 1e-10 * np.maximum(w[..., 0], 1.0)
+    low = w[..., k - 1]
+    if (low <= cutoff).any():
         raise RankDegenerateError(
-            f"eigenvalue {k - 1} of S is {dec.eigenvalues[k - 1]:.3e}; "
+            f"eigenvalue {k - 1} of S is {low[low <= cutoff][0]:.3e}; "
             "Y is numerically rank-degenerate"
         )
-    return linalg.pseudo_inverse_from_eigen(dec, rank=k)
+    inv_w = np.zeros_like(w)
+    inv_w[..., :k] = 1.0 / w[..., :k]
+    pinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
+    pinv = (pinv + pinv.swapaxes(-1, -2)) / 2.0
+    if k == p:
+        projector, complement = np.zeros(s.shape) + np.eye(p), np.zeros(s.shape)
+    else:
+        vk = v[..., :k]
+        projector = vk @ vk.swapaxes(-1, -2)
+        projector = (projector + projector.swapaxes(-1, -2)) / 2.0
+        complement = np.eye(p) - projector
+    return linalg.PseudoinverseResult(pinv, projector, complement, k, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -192,70 +218,42 @@ def dm_dy(x, y) -> np.ndarray:
 # finite-difference oracles
 
 
-def _fd_step(coord: float) -> float:
-    return FD_STEP_SCALE * max(1.0, abs(coord))
+def _fd_step(coord):
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(coord))
 
 
-# The suite's sweeps evaluate every perturbation of Y in one stacked call.
-# Each stacked step repeats the per-slice arithmetic of the per-entry
-# central differences in tests/fd_oracles.py (_central_diff_y, fd_ds_dy,
-# fd_df_dy, fd_dm_dy), which the tests hold them to bit for bit.
+# The suite's sweeps evaluate every perturbation of Y, or of x, in one
+# stacked call. Each stacked step repeats the per-slice arithmetic of the
+# per-entry central differences in tests/fd_oracles.py (_central_diff_y,
+# fd_ds_dy, fd_df_dy, fd_dm_dy, fd_div_x), which the tests hold them to bit
+# for bit.
 
 
-def _central_diff_stack(fn: Callable[[np.ndarray], object], y: np.ndarray) -> np.ndarray:
-    """The per-entry central difference at every entry of Y from a single
+def _central_diff_stack(fn: Callable[[np.ndarray], object], v: np.ndarray) -> np.ndarray:
+    """The per-entry central difference at every entry of v from a single
     call of fn.
 
-    fn maps a (2np, n, p) stack, Y + h_ab e_ab for each entry in row-major
-    order followed by Y - h_ab e_ab, to one value per slice. Returns the
-    (n, p, ...) array of central differences.
+    fn maps a (2 v.size,) + v.shape stack, v + h_i e_i for each entry i in
+    row-major order followed by v - h_i e_i, to one value per slice.
+    Returns the v.shape + value-shape array of central differences.
     """
-    n, p = y.shape
-    cells = n * p
-    h = np.array([_fd_step(c) for c in y.flat])
-    stack = np.repeat(y[None], 2 * cells, axis=0)
+    cells = v.size
+    h = _fd_step(v.ravel())
+    stack = np.repeat(v[None], 2 * cells, axis=0)
     diag = np.arange(cells)
     flat = stack.reshape(2, cells, cells)
     flat[0, diag, diag] += h
     flat[1, diag, diag] -= h
     values = np.asarray(fn(stack), dtype=float)
     step = (2.0 * h).reshape((cells,) + (1,) * (values.ndim - 1))
-    return ((values[:cells] - values[cells:]) / step).reshape((n, p) + values.shape[1:])
-
-
-def _locked_x_stack(x: np.ndarray, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(S+ x, SS+ x) for each factor of a (count, n, p) stack, with S+ and
-    SS+ formed exactly as _pinv_locked forms them (descending spectrum,
-    leading min(n, p) eigenvalues inverted, both matrices symmetrised).
-
-    sym_eigen's own symmetrisation is left out: _gram's output is already
-    exactly symmetric, so it would return the same bits.
-    """
-    rank = min(ys.shape[1:])
-    w, v = np.linalg.eigh(_gram(ys))
-    w = w[:, ::-1]
-    # A contiguous copy, like sym_eigen's, keeps matmul on the same BLAS path.
-    v = np.ascontiguousarray(v[:, :, ::-1])
-    count, p = w.shape
-    inv_w = np.zeros_like(w)
-    inv_w[:, :rank] = 1.0 / w[:, :rank]
-    pinv = (v * inv_w[:, None, :]) @ np.swapaxes(v, -1, -2)
-    pinv = (pinv + np.swapaxes(pinv, -1, -2)) / 2.0
-    if rank == p:
-        projector = np.broadcast_to(np.eye(p), (count, p, p))
-    else:
-        vk = v[:, :, :rank]
-        projector = vk @ np.swapaxes(vk, -1, -2)
-        projector = (projector + np.swapaxes(projector, -1, -2)) / 2.0
-    return pinv @ x, projector @ x
+    return ((values[:cells] - values[cells:]) / step).reshape(v.shape + values.shape[1:])
 
 
 def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_df_dy at every (alpha, beta), as an (n, p) array."""
     def f(ys: np.ndarray) -> list[float]:
-        u, _ = _locked_x_stack(x, ys)
         # Row by row: a stacked u @ x does not give the dot's bits.
-        return [float(x @ ui) for ui in u]
+        return [float(x @ ui) for ui in _pinv_locked(ys).pinv @ x]
 
     return _central_diff_stack(f, y)
 
@@ -263,10 +261,21 @@ def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_dm_dy at every (alpha, beta), as an (n, p, p, p) array."""
     def m(ys: np.ndarray) -> np.ndarray:
-        u, q = _locked_x_stack(x, ys)
-        return u[:, :, None] * q[:, None, :]
+        geo = _pinv_locked(ys)
+        return (geo.pinv @ x)[:, :, None] * (geo.projector @ x)[:, None, :]
 
     return _central_diff_stack(m, y)
+
+
+def _locked_f(xv: np.ndarray, yv: np.ndarray):
+    """_pinv_locked(Y), S+ x and F = x'S+x; raises RankDegenerateError at
+    F <= 0, where r(F)/F is undefined."""
+    geo = _pinv_locked(yv)
+    u = geo.pinv @ xv
+    f = float(xv @ u)
+    if f <= 0.0:
+        raise RankDegenerateError(f"F = {f:.6e} is degenerate; r(F)/F undefined")
+    return geo, u, f
 
 
 # ---------------------------------------------------------------------------
@@ -280,37 +289,34 @@ def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
         analytic = -4 r(F) r'(F) + r(F)^2 (p - 2m + 3) / F,  m = min(n, p)
 
     The oracle assembles the trace from central differences over every
-    entry of Y, all perturbations evaluated in one stacked call.
+    entry of Y, all perturbations evaluated in one stacked call. Raises
+    RankDegenerateError at F <= 0.
     """
     xv, yv = _checked_xy(x, y)
     n, p = yv.shape
-    geo = _pinv_locked(yv)
-    u = geo.pinv @ xv
-    f = float(xv @ u)
-    analytic = risk._trace_grad_form(r(f), r.deriv(f), f, geo.rank, p)
+    _, _, f = _locked_f(xv, yv)
+    analytic = risk._trace_grad_form(r(f), r.deriv(f), f, min(n, p), p)
 
     def field(ys: np.ndarray) -> np.ndarray:
-        ux, qx = _locked_x_stack(xv, ys)
-        scale = []
-        for ui in ux:
-            fx = float(xv @ ui)
-            rfx = r(fx)
-            scale.append(rfx * rfx / (fx * fx))
-        return np.array(scale)[:, None, None] * (qx[:, :, None] * ux[:, None, :])
+        geo = _pinv_locked(ys)
+        ux, qx = geo.pinv @ xv, geo.projector @ xv
+        # F row by row: a stacked product does not give each row's bits.
+        fx = np.array([float(xv @ ui) for ui in ux])
+        rfx = r(fx)
+        return (rfx * rfx / (fx * fx))[:, None, None] * (qx[:, :, None] * ux[:, None, :])
 
     d = _central_diff_stack(field, yv)
     oracle = 0.0
-    for alpha in range(n):
-        for beta in range(p):
-            oracle += float(yv[alpha] @ d[alpha, beta, beta])
+    for alpha, beta in np.ndindex(n, p):
+        oracle += float(yv[alpha] @ d[alpha, beta, beta])
     return _report("trace_grad", analytic, oracle, FD_TOLERANCE)
 
 
 def div_x_identity(x, s, r: ShrinkageFunction) -> IdentityReport:
     """div_x [r(F) SS+ x / F] against 2 r'(F) + r(F) (m - 2) / F.
 
-    S stays fixed; the oracle sums central differences of each component of
-    the vector field over its own coordinate of x.
+    S stays fixed; the oracle is the trace of the field's central-difference
+    Jacobian over x, all perturbations evaluated in one stacked call.
     """
     geo = pinv_geometry(x, s)
     if geo.degenerate:
@@ -318,18 +324,17 @@ def div_x_identity(x, s, r: ShrinkageFunction) -> IdentityReport:
     xv, pr, f = geo.x, geo.pr, geo.f
     analytic = risk._div_form(r(f), r.deriv(f), f, pr.rank)
 
-    def field(v: np.ndarray) -> np.ndarray:
-        fv = float(v @ (pr.pinv @ v))
-        return (r(fv) / fv) * (pr.projector @ v)
+    def field(vs: np.ndarray) -> np.ndarray:
+        # Row by row as the scalar field: F from a dot, P x from a
+        # matrix-vector product. A stacked matrix product moves their bits.
+        fv = np.array([float(v @ (pr.pinv @ v)) for v in vs])
+        return (r(fv) / fv)[:, None] * (pr.projector @ vs[:, :, None])[:, :, 0]
 
+    d = _central_diff_stack(field, xv)
+    # The trace summed in order; np.trace pairs the terms from p = 8 on.
     oracle = 0.0
     for i in range(xv.size):
-        h = _fd_step(xv[i])
-        vp = xv.copy()
-        vp[i] += h
-        vm = xv.copy()
-        vm[i] -= h
-        oracle += float((field(vp)[i] - field(vm)[i]) / (2.0 * h))
+        oracle += float(d[i, i])
     return _report("div_x", analytic, oracle, FD_TOLERANCE)
 
 
@@ -554,7 +559,9 @@ def finiteness_probe(
     div = None
     if r is not None:
         rf, rdf = r.value(f), r.deriv(f)
-        div = np.abs((n + p - m + 3.0) * rf * rf / f - 4.0 * rf * rdf)
+        # F = 0 reads inf, as in inv_f, and fails all_finite.
+        quad = np.divide((n + p - m + 3.0) * rf * rf, f, out=np.full(f.shape, np.inf), where=f > 0)
+        div = np.abs(quad - 4.0 * rf * rdf)
     return FinitenessSummary(
         inv_f=SummaryStats.of(inv_f),
         divergence=None if div is None else SummaryStats.of(div),
@@ -593,8 +600,7 @@ def sample_identity_config(p: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]
     for _ in range(CONFIG_MAX_TRIES):
         x = g.standard_normal(p)
         y = g.standard_normal((n, p))
-        s = y.T @ y
-        w = np.linalg.eigvalsh((s + s.T) / 2.0)[::-1]
+        w = np.linalg.eigvalsh(_gram(y))[::-1]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         if gap < CONFIG_MIN_GAP * max(w[0], 1.0):
             continue
@@ -663,8 +669,7 @@ def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
 
 
 def _div_x_checks(x, y, r) -> list[IdentityReport]:
-    s = y.T @ y
-    return [div_x_identity(x, (s + s.T) / 2.0, r)]
+    return [div_x_identity(x, _gram(y), r)]
 
 
 def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
@@ -672,10 +677,8 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     reassemble the quadratic coefficient of the risk-difference integrand,
     r^2 (n + p - 2m + 3)/F - 4 r r'."""
     n, p = y.shape
-    geo = _pinv_locked(y)
+    geo, u, f = _locked_f(x, y)
     m = geo.rank
-    u = geo.pinv @ x
-    f = float(x @ u)
     rf = r(f)
     rdf = r.deriv(f)
     gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)

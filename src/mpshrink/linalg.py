@@ -131,15 +131,8 @@ def pseudo_inverse(m) -> PseudoinverseResult:
     return pseudo_inverse_from_eigen(sym_eigen(m))
 
 
-def pseudo_inverse_from_eigen(
-    dec: SpectralDecomposition, rank: int | None = None
-) -> PseudoinverseResult:
-    """pseudo_inverse for a matrix whose decomposition is already at hand.
-
-    rank, when given, inverts exactly that many of the largest eigenvalues
-    instead of those above the cutoff. Finite-difference oracles lock the
-    rank this way so that perturbed evaluations cannot flip it.
-    """
+def pseudo_inverse_from_eigen(dec: SpectralDecomposition) -> PseudoinverseResult:
+    """pseudo_inverse for a matrix whose decomposition is already at hand."""
     w = dec.eigenvalues
     v = dec.eigenvectors
     p = w.size
@@ -150,10 +143,7 @@ def pseudo_inverse_from_eigen(
         )
     cutoff = default_rel_tol(p) * max(lam_max, 0.0)
     # Descending order makes the retained set a prefix.
-    if rank is None:
-        rank = int(np.count_nonzero(w > cutoff))
-    elif not 0 <= rank <= p:
-        raise ValueError(f"rank must lie in [0, {p}], got {rank}")
+    rank = int(np.count_nonzero(w > cutoff))
     inv_w = np.zeros(p)
     inv_w[:rank] = 1.0 / w[:rank]
     pinv = (v * inv_w) @ v.T

@@ -1,15 +1,17 @@
 """Per-entry finite-difference oracles of the identity suite.
 
 Each function perturbs one entry (alpha, beta) of Y by +-h and factors the
-two perturbed matrices on its own. mpshrink.identities evaluates all 2np
-perturbations of a configuration in one stacked call instead; the tests
-hold those stacked sweeps to these functions bit for bit.
+two perturbed matrices on its own; fd_div_x perturbs one coordinate of x at
+a time. mpshrink.identities evaluates all perturbations of a configuration
+in one stacked call instead; the tests hold those stacked sweeps to these
+functions bit for bit.
 """
 
 from typing import Callable
 
 import numpy as np
 
+from mpshrink.estimators import pinv_geometry
 from mpshrink.identities import _checked_xy, _fd_step, _gram, _pinv_locked
 
 
@@ -55,3 +57,24 @@ def fd_dm_dy(x, y, alpha: int, beta: int) -> np.ndarray:
     xv, yv = _checked_xy(x, y)
     _checked_index(yv, alpha, beta)
     return _central_diff_y(lambda m: _m_locked(xv, m), yv, alpha, beta)
+
+
+def fd_div_x(x, s, r) -> float:
+    """Sum over the coordinates i of x of the central difference of the
+    field r(F) SS+ x / F's component i in x_i, S fixed."""
+    geo = pinv_geometry(x, s)
+    xv, pr = geo.x, geo.pr
+
+    def field(v: np.ndarray) -> np.ndarray:
+        fv = float(v @ (pr.pinv @ v))
+        return (r(fv) / fv) * (pr.projector @ v)
+
+    oracle = 0.0
+    for i in range(xv.size):
+        h = _fd_step(xv[i])
+        vp = xv.copy()
+        vp[i] += h
+        vm = xv.copy()
+        vm[i] -= h
+        oracle += float((field(vp)[i] - field(vm)[i]) / (2.0 * h))
+    return oracle

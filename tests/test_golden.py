@@ -16,7 +16,9 @@ per shape, stein and stein_haff at 1000 replicates and the finiteness
 probe's fixed 2 x 10 000 draws, so every Monte-Carlo stream the suite opens
 is pinned. golden/verify-5x1000/identities.csv is the same at --configs 5,
 the benchmark's verify setting, where each finite-difference row is the
-worst of five configurations per shape.
+worst of five configurations per shape, and golden/verify-100x1000 at
+--configs 100, the suite's own finite-difference size (acceptance
+criterion 4), the worst of a hundred.
 """
 
 import pathlib
@@ -78,3 +80,8 @@ def test_verify_matches_golden_identities_bytes(tmp_path):
 def test_verify_five_configs_matches_golden_identities_bytes(tmp_path):
     expected = (GOLDEN_DIR / "verify-5x1000" / "identities.csv").read_bytes()
     assert verify_csv_bytes(tmp_path, 5) == expected
+
+
+def test_verify_hundred_configs_matches_golden_identities_bytes(tmp_path):
+    expected = (GOLDEN_DIR / "verify-100x1000" / "identities.csv").read_bytes()
+    assert verify_csv_bytes(tmp_path, 100) == expected

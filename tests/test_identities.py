@@ -16,6 +16,7 @@ from mpshrink.identities import (
     SummaryStats,
     _central_diff_stack,
     _df_dy_checks,
+    _div_x_checks,
     _dm_dy_checks,
     _ds_dy_checks,
     _gram,
@@ -23,6 +24,7 @@ from mpshrink.identities import (
     _report,
     _stacked_fd_df_dy,
     _stacked_fd_dm_dy,
+    _sure_assembly_checks,
     _worst,
     df_dy,
     div_x_identity,
@@ -37,10 +39,9 @@ from mpshrink.identities import (
     shrinkage_g_builder,
     trace_grad_identity,
 )
-from mpshrink.linalg import pseudo_inverse_from_eigen, sym_eigen
 from mpshrink.randgen import RngStream
 
-from fd_oracles import _central_diff_y, fd_df_dy, fd_dm_dy, fd_ds_dy
+from fd_oracles import _central_diff_y, fd_df_dy, fd_div_x, fd_dm_dy, fd_ds_dy
 
 
 def smooth_r():
@@ -61,31 +62,42 @@ def suite_config(p, n, seed=0):
 # ------------------------------------------------------------ fixed-rank pinv
 
 def test_pinv_fixed_rank_full_rank_exact_projector():
-    s = np.diag([3.0, 2.0, 1.0])
-    geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=3)
+    # n >= p: S = Y'Y = diag(3, 2, 1) up to rounding, rank locked at 3.
+    geo = _pinv_locked(np.diag(np.sqrt([3.0, 2.0, 1.0])))
+    assert geo.rank == 3
     assert np.array_equal(geo.projector, np.eye(3))
     assert np.array_equal(geo.complement, np.zeros((3, 3)))
     assert np.allclose(geo.pinv, np.diag([1 / 3, 0.5, 1.0]), atol=1e-15)
 
 
 def test_pinv_fixed_rank_partial():
-    s = np.diag([4.0, 1.0, 0.5])
-    geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=2)
+    # n = 2 < p = 3: S = diag(4, 1, 0), rank locked at 2.
+    geo = _pinv_locked(np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    assert geo.rank == 2
     assert np.allclose(geo.pinv, np.diag([0.25, 1.0, 0.0]), atol=1e-15)
     assert np.allclose(geo.projector, np.diag([1.0, 1.0, 0.0]), atol=1e-12)
+    assert np.allclose(geo.complement, np.diag([0.0, 0.0, 1.0]), atol=1e-12)
 
 
-def test_pinv_fixed_rank_zero():
-    geo = pseudo_inverse_from_eigen(sym_eigen(np.diag([1.0, 1.0])), rank=0)
-    assert np.array_equal(geo.pinv, np.zeros((2, 2)))
-    assert np.array_equal(geo.complement, np.eye(2))
+@pytest.mark.parametrize("p,n", FD_GRID + ((7, 2), (3, 9)))
+def test_pinv_locked_stack_gives_each_factors_bits(p, n):
+    ys = np.random.default_rng(p * 10 + n).standard_normal((6, n, p))
+    stacked = _pinv_locked(ys)
+    assert stacked.rank == min(n, p)
+    for i, y in enumerate(ys):
+        one = _pinv_locked(y)
+        for name in ("pinv", "projector", "complement", "cutoff"):
+            assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
+    if n >= p:
+        assert np.array_equal(stacked.projector, np.broadcast_to(np.eye(p), (6, p, p)))
+        assert np.array_equal(stacked.complement, np.zeros((6, p, p)))
 
 
-def test_pinv_fixed_rank_validates_rank():
-    with pytest.raises(ValueError):
-        pseudo_inverse_from_eigen(sym_eigen(np.eye(2)), rank=3)
-    with pytest.raises(ValueError):
-        pseudo_inverse_from_eigen(sym_eigen(np.eye(2)), rank=-1)
+def test_pinv_locked_rejects_a_stack_with_one_degenerate_entry():
+    ys = np.random.default_rng(1).standard_normal((3, 2, 4))
+    ys[1, 1] = ys[1, 0]  # rank 1 < min(n, p) = 2
+    with pytest.raises(RankDegenerateError, match="eigenvalue 1 of S is"):
+        _pinv_locked(ys)
 
 
 # ---------------------------------------------------------------- dS / dY
@@ -141,8 +153,7 @@ def test_df_dy_matches_fd(p, n):
 def test_df_dy_out_of_range_term_vanishes_at_full_rank():
     # n >= p: (I - SS+) x is exactly zero, so only the first term remains
     x, y = suite_config(4, 6, seed=2)
-    geo = pseudo_inverse_from_eigen(sym_eigen((y.T @ y + (y.T @ y).T) / 2.0), rank=4)
-    u = geo.pinv @ x
+    u = _pinv_locked(y).pinv @ x
     first_term = -2.0 * np.outer(y @ u, u)
     assert np.array_equal(df_dy(x, y), first_term)
 
@@ -163,6 +174,31 @@ def test_df_dy_rejects_rank_degenerate_y(path):
     y[2] = [0.0, 1.0, 0.0, 0.0, 0.0]  # rank 2 < min(n, p) = 3
     with pytest.raises(RankDegenerateError, match="eigenvalue 2 of S"):
         LOCKED_PATHS[path](np.ones(5), y)
+
+
+@pytest.mark.parametrize("path", list(LOCKED_PATHS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_locked_paths_reject_a_non_finite_s(path, bad):
+    # 1e200 is finite, but S = Y'Y overflows.
+    _, y = suite_config(5, 3, seed=9)
+    y[1, 2] = bad
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        LOCKED_PATHS[path](np.ones(5), y)
+
+
+@pytest.mark.parametrize("path", list(LOCKED_PATHS))
+def test_locked_paths_reject_y_wider_than_the_dense_cap(path):
+    p = linalg.MAX_DIM + 1
+    with pytest.raises(linalg.DimensionMismatchError, match="513"):
+        LOCKED_PATHS[path](np.ones(p), np.ones((1, p)))
+
+
+@pytest.mark.parametrize("check", [trace_grad_identity, _sure_assembly_checks])
+def test_locked_f_paths_reject_zero_f(check):
+    # x = 0 gives F = 0, where r(F)/F is undefined.
+    _, y = suite_config(5, 3, seed=10)
+    with pytest.raises(RankDegenerateError, match=r"F = 0\.000000e\+00 is degenerate"):
+        check(np.zeros(5), y, smooth_r())
 
 
 # ---------------------------------------------------------------- dM / dY
@@ -231,6 +267,18 @@ def test_trace_grad_stacked_oracle_matches_per_entry_sum(p, n, seed, constant):
         for b in range(p):
             oracle += float(y[a] @ _central_diff_y(field, y, a, b)[b])
     assert trace_grad_identity(x, y, r).oracle == oracle
+
+
+# p = 9 also pins the summation order: np.trace pairs terms from p = 8 on.
+@pytest.mark.parametrize("p,n", FD_GRID + ((9, 4),))
+@settings(deadline=None, max_examples=15)
+@given(seed=st.integers(0, 2**32 - 1), constant=st.booleans())
+def test_div_x_stacked_oracle_matches_per_coordinate_loop(p, n, seed, constant):
+    x, y = suite_config(p, n, seed)
+    r = constant_shrinkage(0.3) if constant else smooth_r()
+    s = _gram(y)
+    assert div_x_identity(x, s, r).oracle == fd_div_x(x, s, r)
+    assert _div_x_checks(x, y, r) == [div_x_identity(x, s, r)]
 
 
 # ----------------------------------------------------------- scalar identities
@@ -430,8 +478,7 @@ def test_sample_identity_config_respects_thresholds():
         w = np.linalg.eigvalsh(s)[::-1]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         assert gap >= 1e-6 * max(w[0], 1.0)
-        geo = pseudo_inverse_from_eigen(sym_eigen(s), rank=k)
-        assert float(x @ geo.pinv @ x) >= 1e-6
+        assert float(x @ _pinv_locked(y).pinv @ x) >= 1e-6
 
 
 def test_sample_identity_config_deterministic():

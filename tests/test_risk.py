@@ -23,7 +23,9 @@ from mpshrink.estimators import (
 )
 from mpshrink.identities import (
     RankDegenerateError,
+    _smooth_suite_r,
     finiteness_probe,
+    run_default_suite,
     shrinkage_g_builder,
     stein_haff_mc,
     stein_identity_mc,
@@ -439,6 +441,19 @@ def test_stein_haff_mc_names_degenerate_replicate_across_chunks(monkeypatch):
         with pytest.raises(RankDegenerateError, match="replicate 21$") as info:
             stein_haff_mc(3, np.eye(5), g_builder, replicates=1000, seed=1)
         assert f"stack entry {entry} " in str(info.value.__cause__)
+
+
+def test_finiteness_probe_reports_a_zero_f_as_infinite(monkeypatch):
+    # Replicate 21's Y is zeroed, so its F is 0: the divergence integrand
+    # reads inf there, as 1/F does, with no warning, and the suite's
+    # finiteness row fails by its report.
+    monkeypatch.setattr(randgen, "wishart_slab", _defect_draws(21, _zero)[0])
+    summary = finiteness_probe(5, 3, np.eye(5), r=_smooth_suite_r(), replicates=1000)
+    assert not summary.all_finite
+    assert summary.inv_f.maximum == summary.divergence.maximum == math.inf
+    assert math.isfinite(summary.divergence.q99)
+    (report,) = run_default_suite(only="finiteness", fd_configs=1, mc_replicates=1000)
+    assert not report.passed and report.rel_err == math.inf
 
 
 @pytest.mark.parametrize("p, n", [(5, 3), (3, 5), (8, 4), (50, 49)])
