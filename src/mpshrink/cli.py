@@ -21,7 +21,7 @@ Config format, one section per scenario plus an optional [global] section:
 Scenario keys: p, n, cov, rho (ar/block only), estimators, theta_norms,
 theta_direction, replicates, seed. Estimator tokens are `usual`, `js` and
 `js+`, each optionally with an explicit constant as in `js:0.5` (the default
-constant is the midpoint of the admissible interval). Unknown keys,
+constant is the midpoint of the admissible interval; `js:` is an error). Unknown keys,
 duplicate sections and estimator labels, and non-finite numbers are
 rejected with their line number.
 """
@@ -183,9 +183,11 @@ def _parse_keys(keys: dict, table: dict) -> dict:
 
 def _parse_estimator(tok: str, p: int, n: int):
     """One estimator token; every problem is a ValueError."""
-    base, _, arg = tok.partition(":")
+    base, colon, arg = tok.partition(":")
     if not tok:
         raise ValueError("empty entry in list")
+    if colon and not arg:
+        raise ValueError(f"bad constant in {tok!r}")
     if base == "usual":
         if arg:
             raise ValueError("'usual' takes no constant")
@@ -379,7 +381,7 @@ def verify(
     the exit code is 1.
     """
     try:
-        names = identities.suite_names(only, fd_configs, mc_replicates)
+        names = identities.suite_names(seed, only, fd_configs, mc_replicates)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -161,26 +161,24 @@ class PinvGeometry:
 
 
 def pinv_geometry(x, s) -> PinvGeometry:
-    """Decompose s once and derive everything the scalar estimators need.
-
-    lambda_max(S+) for the degeneracy rule is 1 / the smallest retained
-    eigenvalue of s, read off the same decomposition.
+    """Pseudoinvert s once and derive everything the scalar estimators need,
+    lambda_max(S+) for the degeneracy rule included. A non-finite x is
+    rejected, naming it.
     """
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1:
         raise linalg.DimensionMismatchError(f"x must be a vector, got shape {xv.shape}")
-    dec = linalg.sym_eigen(s)
-    if dec.dim != xv.size:
-        raise linalg.DimensionMismatchError(
-            f"s is {dec.dim} x {dec.dim} but x has length {xv.size}"
-        )
-    pr = linalg.pseudo_inverse_from_eigen(dec)
+    if not np.isfinite(xv).all():
+        raise ValueError("x has non-finite entries")
+    pr = linalg.pseudo_inverse(s)
+    p = len(pr.pinv)
+    if p != xv.size:
+        raise linalg.DimensionMismatchError(f"s is {p} x {p} but x has length {xv.size}")
     spx = pr.pinv @ xv
     psx = pr.projector @ xv
     f = float(xv @ spx)
-    lam_max_pinv = 1.0 / dec.eigenvalues[pr.rank - 1] if pr.rank > 0 else 0.0
     degenerate = bool(
-        f_degenerate(f, float(xv @ xv), pr.rank, float(np.linalg.norm(psx)), lam_max_pinv)
+        f_degenerate(f, float(xv @ xv), pr.rank, float(np.linalg.norm(psx)), pr.lam_max_pinv)
     )
     return PinvGeometry(x=xv, pr=pr, spx=spx, psx=psx, f=f, degenerate=degenerate)
 

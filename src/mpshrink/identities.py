@@ -121,7 +121,7 @@ def _pinv_locked(y: np.ndarray) -> linalg.PseudoinverseResult:
     k = min(n, p)
     w, v = np.linalg.eigh(s)
     w = w[..., ::-1]
-    # A contiguous copy keeps every matmul below on one BLAS path.
+    # A contiguous copy keeps every matmul of the construction on one BLAS path.
     v = np.ascontiguousarray(v[..., ::-1])
     cutoff = 1e-10 * np.maximum(w[..., 0], 1.0)
     low = w[..., k - 1]
@@ -130,18 +130,7 @@ def _pinv_locked(y: np.ndarray) -> linalg.PseudoinverseResult:
             f"eigenvalue {k - 1} of S is {low[low <= cutoff][0]:.3e}; "
             "Y is numerically rank-degenerate"
         )
-    inv_w = np.zeros_like(w)
-    inv_w[..., :k] = 1.0 / w[..., :k]
-    pinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
-    pinv = (pinv + pinv.swapaxes(-1, -2)) / 2.0
-    if k == p:
-        projector, complement = np.zeros(s.shape) + np.eye(p), np.zeros(s.shape)
-    else:
-        vk = v[..., :k]
-        projector = vk @ vk.swapaxes(-1, -2)
-        projector = (projector + projector.swapaxes(-1, -2)) / 2.0
-        complement = np.eye(p) - projector
-    return linalg.PseudoinverseResult(pinv, projector, complement, k, cutoff)
+    return linalg._pinv_at_rank(w, v, k, cutoff)
 
 
 # ---------------------------------------------------------------------------
@@ -754,21 +743,25 @@ def run_default_suite(
     Finite-difference identities sweep fd_configs (at least 1) random
     configurations per (p, n) in FD_GRID and report the worst case; the
     stein and stein_haff Monte-Carlo identities run on MC_GRID at
-    mc_replicates (at least MC_MIN_REPLICATES, checked before any identity
-    runs, whichever `only` names). The finiteness probe has a fixed size,
-    10 000 replicates at each of two shapes, whatever mc_replicates is.
-    `only` restricts to a single name.
+    mc_replicates (at least MC_MIN_REPLICATES, checked with the seed before
+    any identity runs, whichever `only` names). The finiteness probe has a
+    fixed size, 10 000 replicates at each of two shapes, whatever
+    mc_replicates is. `only` restricts to a single name.
     """
-    wanted = suite_names(only, fd_configs, mc_replicates)
+    wanted = suite_names(seed, only, fd_configs, mc_replicates)
     return [_SUITE[name](seed, fd_configs, mc_replicates) for name in wanted]
 
 
-def suite_names(only: str | None, fd_configs: int, mc_replicates: int) -> tuple[str, ...]:
+def suite_names(
+    seed: int, only: str | None, fd_configs: int, mc_replicates: int
+) -> tuple[str, ...]:
     """The identities run_default_suite runs at these settings, in report
-    order. Raises ValueError for an unknown `only`, fd_configs below 1 or
-    mc_replicates below MC_MIN_REPLICATES."""
+    order. Raises ValueError for an unknown `only`, fd_configs below 1,
+    mc_replicates below MC_MIN_REPLICATES or a negative seed."""
     if only is not None and only not in _SUITE:
         raise ValueError(f"unknown identity {only!r}; choose from {', '.join(SUITE_NAMES)}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     if fd_configs < 1:
         raise ValueError(f"fd_configs must be at least 1, got {fd_configs}")
     if mc_replicates < MC_MIN_REPLICATES:

@@ -107,18 +107,21 @@ def sym_eigen(m) -> SpectralDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class PseudoinverseResult:
-    """Moore-Penrose inverse of a symmetric PSD matrix plus its range geometry.
+    """Moore-Penrose inverse of a symmetric PSD matrix plus its range geometry,
+    for one matrix or a stack of them.
 
     projector is the orthogonal projector onto the column space (S S+),
-    complement is I minus that, rank counts the eigenvalues kept and cutoff
-    is the absolute threshold they had to clear.
+    complement is I minus that, rank counts the eigenvalues kept, cutoff
+    is the threshold they had to clear and lam_max_pinv is the largest
+    eigenvalue of S+: 1 / the smallest kept eigenvalue, 0 at rank 0.
     """
 
     pinv: np.ndarray
     projector: np.ndarray
     complement: np.ndarray
     rank: int
-    cutoff: float
+    cutoff: float | np.ndarray
+    lam_max_pinv: float | np.ndarray
 
 
 def pseudo_inverse(m) -> PseudoinverseResult:
@@ -128,44 +131,36 @@ def pseudo_inverse(m) -> PseudoinverseResult:
     as exact zeros. Raises NotPositiveSemidefiniteError when an eigenvalue
     sits below the PSD slack.
     """
-    return pseudo_inverse_from_eigen(sym_eigen(m))
-
-
-def pseudo_inverse_from_eigen(dec: SpectralDecomposition) -> PseudoinverseResult:
-    """pseudo_inverse for a matrix whose decomposition is already at hand."""
+    dec = sym_eigen(m)
     w = dec.eigenvalues
-    v = dec.eigenvectors
-    p = w.size
     lam_max = w[0]
     if w[-1] < -PSD_SLACK * lam_max:
         raise NotPositiveSemidefiniteError(
             f"eigenvalue {w[-1]:.6e} below -{PSD_SLACK:g} * {lam_max:.6e}"
         )
-    cutoff = default_rel_tol(p) * max(lam_max, 0.0)
+    cutoff = default_rel_tol(w.size) * max(lam_max, 0.0)
     # Descending order makes the retained set a prefix.
     rank = int(np.count_nonzero(w > cutoff))
-    inv_w = np.zeros(p)
-    inv_w[:rank] = 1.0 / w[:rank]
-    pinv = (v * inv_w) @ v.T
-    pinv = (pinv + pinv.T) / 2.0
-    if rank == p:
-        projector = np.eye(p)
-        complement = np.zeros((p, p))
-    elif rank == 0:
-        projector = np.zeros((p, p))
-        complement = np.eye(p)
+    return _pinv_at_rank(w, dec.eigenvectors, rank, float(cutoff))
+
+
+def _pinv_at_rank(w: np.ndarray, v: np.ndarray, k: int, cutoff) -> PseudoinverseResult:
+    """S+, SS+, I - SS+ and lambda_max(S+) from a descending spectrum w, (p,)
+    or (count, p), and its contiguous eigenvectors v, keeping the leading k
+    eigenvalues of every entry. SS+ is exactly I at k = p and 0 at k = 0."""
+    p = w.shape[-1]
+    inv_w = np.zeros_like(w)
+    inv_w[..., :k] = 1.0 / w[..., :k]
+    pinv = (v * inv_w[..., None, :]) @ v.swapaxes(-1, -2)
+    pinv = (pinv + pinv.swapaxes(-1, -2)) / 2.0
+    if k == p:
+        projector = np.zeros(v.shape) + np.eye(p)
     else:
-        vk = v[:, :rank]
-        projector = vk @ vk.T
-        projector = (projector + projector.T) / 2.0
-        complement = np.eye(p) - projector
-    return PseudoinverseResult(
-        pinv=pinv,
-        projector=projector,
-        complement=complement,
-        rank=rank,
-        cutoff=float(cutoff),
-    )
+        vk = v[..., :k]
+        projector = vk @ vk.swapaxes(-1, -2)
+        projector = (projector + projector.swapaxes(-1, -2)) / 2.0
+    lam_max_pinv = 1.0 / w[..., k - 1] if k else np.zeros(w.shape[:-1])
+    return PseudoinverseResult(pinv, projector, np.eye(p) - projector, k, cutoff, lam_max_pinv)
 
 
 def quad_form(x, m) -> float:
@@ -179,12 +174,6 @@ def quad_form(x, m) -> float:
             f"matrix shape {a.shape} does not match vector length {xv.size}"
         )
     return float(xv @ a @ xv)
-
-
-def projectors(m) -> tuple[np.ndarray, np.ndarray]:
-    """(P, I - P) with P the orthogonal projector onto the column space of M."""
-    pr = pseudo_inverse(m)
-    return pr.projector, pr.complement
 
 
 def sym_sqrt_pd(m) -> np.ndarray:

@@ -155,6 +155,8 @@ def _checked_theta_sigma(theta, sigma):
     t = np.asarray(theta, dtype=float)
     if t.ndim != 1:
         raise linalg.DimensionMismatchError(f"theta must be a vector, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("theta has non-finite entries")
     s = linalg.symmetrize(sigma)
     if s.shape[0] != t.size:
         raise linalg.DimensionMismatchError(

@@ -252,6 +252,15 @@ def test_parse_usual_takes_no_constant():
     )
 
 
+@pytest.mark.parametrize("token", ["js:", "js+:", "usual:"])
+def test_parse_rejects_a_dangling_colon(token):
+    expect_error(
+        f"[s]\np = 4\nn = 3\ncov = identity\nestimators = usual, {token}\n",
+        f"estimators: bad constant in '{token}'",
+        line=5,
+    )
+
+
 def test_parse_bad_theta_norms():
     expect_error(
         "[s]\np = 4\nn = 3\ncov = identity\ntheta_norms = 1, x\n",
@@ -647,3 +656,13 @@ def test_verify_rejects_zero_fd_configs(capsys):
 def test_main_requires_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_main_verify_rejects_a_negative_seed_before_any_identity(monkeypatch, capsys):
+    from mpshrink import cli
+
+    ran = []
+    monkeypatch.setattr(cli.identities, "run_default_suite", lambda **kw: ran.append(kw) or [])
+    assert main(["verify", "--seed", "-1", "--replicates", "1000", "--configs", "1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
+    assert ran == []

@@ -263,6 +263,22 @@ def test_estimate_validation():
         estimate(Usual(), np.zeros(3), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_scalar_path_rejects_a_non_finite_x(bad):
+    from mpshrink.identities import div_x_identity
+    from mpshrink.risk import unbiased_risk_difference
+
+    x = np.full(10, bad)
+    s = sample_wishart(4, np.eye(10), RngStream(0, 0)).s
+    for call in (
+        lambda: estimate(JamesStein(1.0), x, s),
+        lambda: unbiased_risk_difference(x, s, constant_shrinkage(0.5), 4),
+        lambda: div_x_identity(x, s, _smooth_suite_r()),
+    ):
+        with pytest.raises(ValueError, match="^x has non-finite entries$"):
+            call()
+
+
 def test_projection_form_matches_direct_formula():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -86,11 +86,27 @@ def test_pinv_locked_stack_gives_each_factors_bits(p, n):
     assert stacked.rank == min(n, p)
     for i, y in enumerate(ys):
         one = _pinv_locked(y)
-        for name in ("pinv", "projector", "complement", "cutoff"):
+        for name in ("pinv", "projector", "complement", "cutoff", "lam_max_pinv"):
             assert np.array_equal(getattr(stacked, name)[i], getattr(one, name)), name
+        low = np.linalg.eigvalsh(_gram(y))[-min(n, p)]
+        assert np.isclose(stacked.lam_max_pinv[i], 1.0 / low, rtol=1e-12)
     if n >= p:
         assert np.array_equal(stacked.projector, np.broadcast_to(np.eye(p), (6, p, p)))
         assert np.array_equal(stacked.complement, np.zeros((6, p, p)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(shape=st.sampled_from(FD_GRID + ((3, 9),)), seed=st.integers(0, 10_000))
+def test_pinv_locked_and_the_cutoff_rule_share_one_construction(shape, seed):
+    # Wherever the cutoff keeps min(n, p) eigenvalues, the rank-locked S+
+    # and linalg.pseudo_inverse of the same S are one computation.
+    p, n = shape
+    y = np.random.default_rng(seed).standard_normal((n, p))
+    by_cutoff = linalg.pseudo_inverse(_gram(y))
+    locked = _pinv_locked(y)
+    assert by_cutoff.rank == locked.rank == min(n, p)
+    for name in ("pinv", "projector", "complement", "lam_max_pinv"):
+        assert np.array_equal(getattr(by_cutoff, name), getattr(locked, name)), name
 
 
 def test_pinv_locked_rejects_a_stack_with_one_degenerate_entry():

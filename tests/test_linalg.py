@@ -1,3 +1,5 @@
+import ast
+import pathlib
 import re
 import tracemalloc
 
@@ -21,9 +23,7 @@ from mpshrink.linalg import (
     factor_coords,
     factor_stack,
     inv_pd,
-    projectors,
     pseudo_inverse,
-    pseudo_inverse_from_eigen,
     quad_form,
     sym_eigen,
     sym_sqrt_pd,
@@ -150,14 +150,28 @@ def test_one_cutoff_at_its_edge(n, edge):
         assert pinv_geometry(rng.standard_normal(p), s).pr.rank == expected
 
 
-def test_pseudo_inverse_from_eigen_matches_direct():
+def test_lam_max_pinv_is_one_over_the_smallest_kept_eigenvalue():
     rng = np.random.default_rng(2)
     m = random_psd(rng, 7, rank=4)
-    dec = sym_eigen(m)
-    a = pseudo_inverse(m)
-    b = pseudo_inverse_from_eigen(dec)
-    assert a.rank == b.rank == 4
-    assert np.array_equal(a.pinv, b.pinv)
+    res = pseudo_inverse(m)
+    assert res.rank == 4
+    assert res.lam_max_pinv == 1.0 / sym_eigen(m).eigenvalues[3]
+    assert np.isclose(res.lam_max_pinv, np.linalg.eigvalsh(res.pinv)[-1], rtol=1e-10)
+    assert pseudo_inverse(np.diag([4.0, 1.0, 0.0])).lam_max_pinv == 1.0
+    assert pseudo_inverse(np.zeros((4, 4))).lam_max_pinv == 0.0
+
+
+def test_only_linalg_builds_a_pseudoinverse_result():
+    # S+, SS+ and I - SS+ come from one construction, linalg._pinv_at_rank,
+    # for the cutoff rule and the rank-locked identities alike.
+    built = []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "func", None)
+            name = getattr(name, "attr", getattr(name, "id", None))
+            if isinstance(node, ast.Call) and name == "PseudoinverseResult":
+                built.append(path.stem)
+    assert built == ["linalg"]
 
 
 def penrose_errors(m, pinv):
@@ -237,7 +251,8 @@ def test_gram_rank_and_null_space(n, p, seed):
 def test_projector_is_idempotent_orthogonal():
     rng = np.random.default_rng(3)
     m = random_psd(rng, 9, rank=4)
-    proj, comp = projectors(m)
+    res = pseudo_inverse(m)
+    proj, comp = res.projector, res.complement
     assert np.allclose(proj @ proj, proj, atol=1e-10)
     assert np.allclose(proj @ comp, np.zeros((9, 9)), atol=1e-10)
     assert np.allclose(proj + comp, np.eye(9), atol=1e-14)

@@ -152,6 +152,17 @@ def test_sample_normal_shapes_and_validation():
         sample_normal(theta, np.eye(3), rng=object())
 
 
+def test_a_non_finite_theta_is_rejected_by_name():
+    from mpshrink.estimators import JamesStein
+    from mpshrink.identities import stein_identity_mc
+
+    theta = np.r_[np.inf, 0.0, 0.0]
+    with pytest.raises(ValueError, match="^theta has non-finite entries$"):
+        sample_normal(theta, np.eye(3), RngStream(0, 0))
+    with pytest.raises(ValueError, match="^theta has non-finite entries$"):
+        stein_identity_mc(theta, np.eye(3), 5, JamesStein(0.1), replicates=1000)
+
+
 def test_sample_normal_mean_and_covariance():
     theta = np.array([1.0, 0.0, -1.0, 2.0])
     sigma = build_covariance(Spiked(), 4)
