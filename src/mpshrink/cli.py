@@ -376,13 +376,15 @@ def verify(
     """Run the identity oracle suite and print one row per identity.
 
     Each identity's elapsed seconds, and the total, go to stderr as it runs.
-    Bad arguments exit 2 before any identity runs. An identity that raises
-    writes a one-line JSON error record to stderr, the others still run and
-    the exit code is 1.
+    Bad arguments, and an out_dir that cannot be made a directory, exit 2
+    before any identity runs. An identity that raises writes a one-line JSON error
+    record to stderr, the others still run and the exit code is 1.
     """
     try:
         names = identities.suite_names(seed, only, fd_configs, mc_replicates)
-    except ValueError as exc:
+        if out_dir is not None:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
     reports = []
@@ -412,9 +414,7 @@ def verify(
             f"{'PASS' if r.passed else 'FAIL'}"
         )
     if out_dir is not None:
-        target = Path(out_dir)
-        target.mkdir(parents=True, exist_ok=True)
-        _write_csv(target / "identities.csv", IDENTITY_CSV_HEADER, map(astuple, reports))
+        _write_csv(Path(out_dir) / "identities.csv", IDENTITY_CSV_HEADER, map(astuple, reports))
     return 0 if not failed and all(r.passed for r in reports) else 1
 
 

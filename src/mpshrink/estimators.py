@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -149,38 +150,47 @@ def f_degenerate(f, x_sq, rank, psx_norm, lam_max_pinv):
 
 @dataclass(frozen=True, eq=False)
 class PinvGeometry:
-    """x seen through the pseudoinverse of S: F = x'S+x, S+x, P_S x, the
-    pseudoinverse itself and the degeneracy verdict of f_degenerate."""
+    """x seen through the pseudoinverse of one S or of a stack: S+x, P_S x,
+    (I - P_S) x and F = x'S+x, with the pseudoinverse itself."""
 
     x: np.ndarray
     pr: linalg.PseudoinverseResult
     spx: np.ndarray
     psx: np.ndarray
-    f: float
-    degenerate: bool
+    cx: np.ndarray
+    f: float | np.ndarray
+
+    @cached_property
+    def degenerate(self) -> bool:
+        """f_degenerate's verdict, for one S only."""
+        pr, norm = self.pr, float(np.linalg.norm(self.psx))
+        return bool(f_degenerate(self.f, float(self.x @ self.x), pr.rank, norm, pr.lam_max_pinv))
+
+
+def geometry(x, pr: linalg.PseudoinverseResult) -> PinvGeometry:
+    """x through pr, the pseudoinverse of one S or of a stack: every entry's
+    products are matrix-vector products and its F is one dot, so a stack
+    entry has the bits of its S alone. A non-finite x is rejected, naming it.
+    """
+    xv = np.asarray(x, dtype=float)
+    if not np.isfinite(xv).all():
+        raise ValueError("x has non-finite entries")
+    spx = pr.pinv @ xv
+    f = float(xv @ spx) if spx.ndim == 1 else np.array([float(xv @ u) for u in spx])
+    return PinvGeometry(xv, pr, spx, pr.projector @ xv, pr.complement @ xv, f)
 
 
 def pinv_geometry(x, s) -> PinvGeometry:
-    """Pseudoinvert s once and derive everything the scalar estimators need,
-    lambda_max(S+) for the degeneracy rule included. A non-finite x is
-    rejected, naming it.
-    """
+    """geometry of x through linalg.pseudo_inverse(s), checking that x is a
+    vector of s's size."""
     xv = np.asarray(x, dtype=float)
     if xv.ndim != 1:
         raise linalg.DimensionMismatchError(f"x must be a vector, got shape {xv.shape}")
-    if not np.isfinite(xv).all():
-        raise ValueError("x has non-finite entries")
     pr = linalg.pseudo_inverse(s)
     p = len(pr.pinv)
     if p != xv.size:
         raise linalg.DimensionMismatchError(f"s is {p} x {p} but x has length {xv.size}")
-    spx = pr.pinv @ xv
-    psx = pr.projector @ xv
-    f = float(xv @ spx)
-    degenerate = bool(
-        f_degenerate(f, float(xv @ xv), pr.rank, float(np.linalg.norm(psx)), pr.lam_max_pinv)
-    )
-    return PinvGeometry(x=xv, pr=pr, spx=spx, psx=psx, f=f, degenerate=degenerate)
+    return geometry(xv, pr)
 
 
 @dataclass(frozen=True, eq=False)

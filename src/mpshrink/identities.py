@@ -23,6 +23,7 @@ from .estimators import (
     ShrinkageFunction,
     constant_shrinkage,
     f_degenerate,  # noqa: F401 - not called here; perfbench/spans.py wraps it by name
+    geometry,
     pinv_geometry,
 )
 
@@ -160,47 +161,43 @@ def df_dy(x, y) -> np.ndarray:
     zero when n >= p.
     """
     xv, yv = _checked_xy(x, y)
-    geo = _pinv_locked(yv)
-    u = geo.pinv @ xv
-    cx = geo.complement @ xv
-    return -2.0 * np.outer(yv @ u, u) + 2.0 * np.outer(yv @ (geo.pinv @ u), cx)
+    g = geometry(xv, _pinv_locked(yv))
+    return -2.0 * np.outer(yv @ g.spx, g.spx) + 2.0 * np.outer(yv @ (g.pr.pinv @ g.spx), g.cx)
 
 
 def dm_dy(x, y) -> np.ndarray:
     """d(S+ x x' S S+)/dY as an (n, p, p, p) array at locked rank: entry
     [a, b] is the nine-term expansion at (a, b).
 
-    Written exactly as derived, term by term; several terms cancel against
-    each other analytically (YSS+ = Y), but they are kept separate so the
-    formula under test is the stated one.
+    Written exactly as derived, term by term, each term over every (a, b)
+    at once; several cancel against each other analytically (YSS+ = Y), but
+    they are kept separate so the formula under test is the stated one.
     """
     xv, yv = _checked_xy(x, y)
-    geo = _pinv_locked(yv)
-    pv = geo.pinv
-    c = geo.complement
-    u = pv @ xv  # S+ x
-    qx = geo.projector @ xv  # SS+ x
-    cx = c @ xv  # (I - SS+) x
-    n, p = yv.shape
-    out = np.empty((n, p, p, p))
-    for alpha, beta in np.ndindex(n, p):
-        ya = yv[alpha]
-        y_pinv_a = ya @ pv  # (Y S+)_{alpha, :}
-        yu_a = float(ya @ u)  # (Y S+ x)_alpha
-        ypu_a = float(ya @ (pv @ u))  # (Y S+ S+ x)_alpha
-        yx_a = float(ya @ xv)  # (Y x)_alpha
-        yqx_a = float(ya @ qx)  # (Y SS+ x)_alpha
-        o = out[alpha, beta]
-        o[...] = cx[beta] * np.outer(pv @ (pv @ ya), qx)
-        o -= yu_a * np.outer(pv[:, beta], qx)
-        o -= u[beta] * np.outer(pv @ ya, qx)
-        o += ypu_a * np.outer(c[:, beta], qx)
-        o += xv[beta] * np.outer(u, y_pinv_a)
-        o += yx_a * np.outer(u, pv[beta, :])
-        o += yu_a * np.outer(u, c[beta, :])
-        o -= qx[beta] * np.outer(u, y_pinv_a)
-        o -= yqx_a * np.outer(u, pv[beta, :])
-    return out
+    g = geometry(xv, _pinv_locked(yv))
+    pv, c, u, qx, cx = g.pr.pinv, g.pr.complement, g.spx, g.psx, g.cx
+    # The bits of the loop in tests/fd_oracles.py: a row of Y meets S+ one
+    # row at a time, and each scalar multiplies a finished outer product.
+    y_pinv = np.array([ya @ pv for ya in yv])  # (Y S+)_{alpha, :}
+    pinv_y = np.array([pv @ ya for ya in yv])
+    pinv2_y = np.array([pv @ v for v in pinv_y])
+    yu, ypu, yx, yqx = (np.array([ya @ v for ya in yv]) for v in (u, pv @ u, xv, qx))
+
+    def outer(a, b) -> np.ndarray:
+        return a[..., :, None] * b[..., None, :]
+
+    a_, b_ = np.s_[:, None, None, None], np.s_[None, :, None, None]  # by alpha, by beta
+    return (
+        cx[b_] * outer(pinv2_y, qx)[:, None]
+        - yu[a_] * outer(pv.T, qx)
+        - u[b_] * outer(pinv_y, qx)[:, None]
+        + ypu[a_] * outer(c.T, qx)
+        + xv[b_] * outer(u, y_pinv)[:, None]
+        + yx[a_] * outer(u, pv)
+        + yu[a_] * outer(u, c)
+        - qx[b_] * outer(u, y_pinv)[:, None]
+        - yqx[a_] * outer(u, pv)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -240,31 +237,16 @@ def _central_diff_stack(fn: Callable[[np.ndarray], object], v: np.ndarray) -> np
 
 def _stacked_fd_df_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_df_dy at every (alpha, beta), as an (n, p) array."""
-    def f(ys: np.ndarray) -> list[float]:
-        # Row by row: a stacked u @ x does not give the dot's bits.
-        return [float(x @ ui) for ui in _pinv_locked(ys).pinv @ x]
-
-    return _central_diff_stack(f, y)
+    return _central_diff_stack(lambda ys: geometry(x, _pinv_locked(ys)).f, y)
 
 
 def _stacked_fd_dm_dy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """fd_dm_dy at every (alpha, beta), as an (n, p, p, p) array."""
     def m(ys: np.ndarray) -> np.ndarray:
-        geo = _pinv_locked(ys)
-        return (geo.pinv @ x)[:, :, None] * (geo.projector @ x)[:, None, :]
+        g = geometry(x, _pinv_locked(ys))
+        return g.spx[:, :, None] * g.psx[:, None, :]
 
     return _central_diff_stack(m, y)
-
-
-def _locked_f(xv: np.ndarray, yv: np.ndarray):
-    """_pinv_locked(Y), S+ x and F = x'S+x; raises RankDegenerateError at
-    F <= 0, where r(F)/F is undefined."""
-    geo = _pinv_locked(yv)
-    u = geo.pinv @ xv
-    f = float(xv @ u)
-    if f <= 0.0:
-        raise RankDegenerateError(f"F = {f:.6e} is degenerate; r(F)/F undefined")
-    return geo, u, f
 
 
 # ---------------------------------------------------------------------------
@@ -283,16 +265,15 @@ def trace_grad_identity(x, y, r: ShrinkageFunction) -> IdentityReport:
     """
     xv, yv = _checked_xy(x, y)
     n, p = yv.shape
-    _, _, f = _locked_f(xv, yv)
+    f = geometry(xv, _pinv_locked(yv)).f
+    if f <= 0.0:
+        raise RankDegenerateError(f"F = {f:.6e} is degenerate; r(F)/F undefined")
     analytic = risk._trace_grad_form(r(f), r.deriv(f), f, min(n, p), p)
 
     def field(ys: np.ndarray) -> np.ndarray:
-        geo = _pinv_locked(ys)
-        ux, qx = geo.pinv @ xv, geo.projector @ xv
-        # F row by row: a stacked product does not give each row's bits.
-        fx = np.array([float(xv @ ui) for ui in ux])
-        rfx = r(fx)
-        return (rfx * rfx / (fx * fx))[:, None, None] * (qx[:, :, None] * ux[:, None, :])
+        g = geometry(xv, _pinv_locked(ys))
+        rfx = r(g.f)
+        return (rfx * rfx / (g.f * g.f))[:, None, None] * (g.psx[:, :, None] * g.spx[:, None, :])
 
     d = _central_diff_stack(field, yv)
     oracle = 0.0
@@ -533,6 +514,9 @@ def finiteness_probe(
     the divergence-size integrand whose expectation the moment conditions
     keep finite.
     """
+    q = linalg.symmetrize(sigma).shape[0]
+    if q != p:
+        raise linalg.DimensionMismatchError(f"sigma is {q} x {q} but p = {p}")
     t, sqrt_sigma, _ = _mc_setup(replicates, 1, n, sigma, np.zeros(p))
     f, m = np.empty(replicates), np.empty(replicates)
 
@@ -584,6 +568,8 @@ def sample_identity_config(p: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]
     difference with h = 1e-5 cannot resolve derivatives across a gap that
     is small on the scale of the spectrum.
     """
+    if p < 1 or n < 1:
+        raise ValueError(f"p and n must be at least 1, got p={p}, n={n}")
     g = randgen._as_generator(rng)
     k = min(n, p)
     for _ in range(CONFIG_MAX_TRIES):
@@ -593,7 +579,7 @@ def sample_identity_config(p: int, n: int, rng) -> tuple[np.ndarray, np.ndarray]
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         if gap < CONFIG_MIN_GAP * max(w[0], 1.0):
             continue
-        if float(x @ (_pinv_locked(y).pinv @ x)) < CONFIG_MIN_F:
+        if geometry(x, _pinv_locked(y)).f < CONFIG_MIN_F:
             continue
         return x, y
     raise RuntimeError(f"no acceptable (x, Y) configuration in {CONFIG_MAX_TRIES} draws")
@@ -643,9 +629,13 @@ def _fd_sweep(
     return sweep
 
 
+def _per_entry(name: str, analytic: np.ndarray, fd: np.ndarray) -> list[IdentityReport]:
+    """One report per entry (alpha, beta) of Y, in row-major order."""
+    return [_report(name, analytic[i], fd[i], FD_TOLERANCE) for i in np.ndindex(fd.shape[:2])]
+
+
 def _ds_dy_checks(x, y, r) -> list[IdentityReport]:
-    ds, fd = ds_dy(y), _central_diff_stack(_gram, y)
-    return [_report("ds_dy", ds[a, b], fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
+    return _per_entry("ds_dy", ds_dy(y), _central_diff_stack(_gram, y))
 
 
 def _df_dy_checks(x, y, r) -> list[IdentityReport]:
@@ -653,8 +643,7 @@ def _df_dy_checks(x, y, r) -> list[IdentityReport]:
 
 
 def _dm_dy_checks(x, y, r) -> list[IdentityReport]:
-    dm, fd = dm_dy(x, y), _stacked_fd_dm_dy(x, y)
-    return [_report("dm_dy", dm[a, b], fd[a, b], FD_TOLERANCE) for a, b in np.ndindex(y.shape)]
+    return _per_entry("dm_dy", dm_dy(x, y), _stacked_fd_dm_dy(x, y))
 
 
 def _div_x_checks(x, y, r) -> list[IdentityReport]:
@@ -666,11 +655,12 @@ def _sure_assembly_checks(x, y, r) -> list[IdentityReport]:
     reassemble the quadratic coefficient of the risk-difference integrand,
     r^2 (n + p - 2m + 3)/F - 4 r r'."""
     n, p = y.shape
-    geo, u, f = _locked_f(x, y)
-    m = geo.rank
-    rf = r(f)
-    rdf = r.deriv(f)
-    gmat = (rf * rf / (f * f)) * np.outer(u, geo.projector @ x)
+    g = geometry(x, _pinv_locked(y))
+    f, m = g.f, g.pr.rank
+    if f <= 0.0:
+        raise RankDegenerateError(f"F = {f:.6e} is degenerate; r(F)/F undefined")
+    rf, rdf = r(f), r.deriv(f)
+    gmat = (rf * rf / (f * f)) * np.outer(g.spx, g.psx)
     assembled = n * float(np.trace(gmat)) + risk._trace_grad_form(rf, rdf, f, m, p)
     target = rf * rf * (n + p - 2.0 * m + 3.0) / f - 4.0 * rf * rdf
     return [_report("sure_assembly", assembled, target, 1e-12)]

@@ -1,10 +1,12 @@
-"""Per-entry finite-difference oracles of the identity suite.
+"""Per-entry references of the identity suite.
 
-Each function perturbs one entry (alpha, beta) of Y by +-h and factors the
-two perturbed matrices on its own; fd_div_x perturbs one coordinate of x at
-a time. mpshrink.identities evaluates all perturbations of a configuration
-in one stacked call instead; the tests hold those stacked sweeps to these
-functions bit for bit.
+Each fd_ function perturbs one entry (alpha, beta) of Y by +-h and factors
+the two perturbed matrices on its own; fd_div_x perturbs one coordinate of x
+at a time. mpshrink.identities evaluates all perturbations of a
+configuration in one stacked call instead; the tests hold those stacked
+sweeps to these functions bit for bit. dm_dy_loop is the analytic dM/dY
+written entry by entry, the reference for identities.dm_dy's whole-array
+terms.
 """
 
 from typing import Callable
@@ -78,3 +80,35 @@ def fd_div_x(x, s, r) -> float:
         vm[i] -= h
         oracle += float((field(vp)[i] - field(vm)[i]) / (2.0 * h))
     return oracle
+
+
+def dm_dy_loop(x, y) -> np.ndarray:
+    """d(S+ x x' S S+)/dY at locked rank, the nine-term expansion written
+    out at each (alpha, beta) in turn."""
+    xv, yv = _checked_xy(x, y)
+    geo = _pinv_locked(yv)
+    pv = geo.pinv
+    c = geo.complement
+    u = pv @ xv  # S+ x
+    qx = geo.projector @ xv  # SS+ x
+    cx = c @ xv  # (I - SS+) x
+    n, p = yv.shape
+    out = np.empty((n, p, p, p))
+    for alpha, beta in np.ndindex(n, p):
+        ya = yv[alpha]
+        y_pinv_a = ya @ pv  # (Y S+)_{alpha, :}
+        yu_a = float(ya @ u)  # (Y S+ x)_alpha
+        ypu_a = float(ya @ (pv @ u))  # (Y S+ S+ x)_alpha
+        yx_a = float(ya @ xv)  # (Y x)_alpha
+        yqx_a = float(ya @ qx)  # (Y SS+ x)_alpha
+        o = out[alpha, beta]
+        o[...] = cx[beta] * np.outer(pv @ (pv @ ya), qx)
+        o -= yu_a * np.outer(pv[:, beta], qx)
+        o -= u[beta] * np.outer(pv @ ya, qx)
+        o += ypu_a * np.outer(c[:, beta], qx)
+        o += xv[beta] * np.outer(u, y_pinv_a)
+        o += yx_a * np.outer(u, pv[beta, :])
+        o += yu_a * np.outer(u, c[beta, :])
+        o -= qx[beta] * np.outer(u, y_pinv_a)
+        o -= yqx_a * np.outer(u, pv[beta, :])
+    return out

@@ -666,3 +666,19 @@ def test_main_verify_rejects_a_negative_seed_before_any_identity(monkeypatch, ca
     assert main(["verify", "--seed", "-1", "--replicates", "1000", "--configs", "1"]) == 2
     assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
     assert ran == []
+
+
+def test_main_verify_rejects_an_out_path_that_is_a_file(monkeypatch, tmp_path, capsys):
+    from mpshrink import cli
+
+    ran = []
+    monkeypatch.setattr(cli.identities, "run_default_suite", lambda **kw: ran.append(kw) or [])
+    target = tmp_path / "taken"
+    target.write_text("a file\n", encoding="utf-8")
+    argv = ["verify", "--out", str(target), "--replicates", "1000", "--configs", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert ran == []
+    assert target.read_text(encoding="utf-8") == "a file\n"

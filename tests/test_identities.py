@@ -1,10 +1,13 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpshrink import linalg, risk
-from mpshrink.estimators import Baranchik, constant_shrinkage, positive_part_shrinkage
+from mpshrink.estimators import Baranchik, constant_shrinkage, geometry, positive_part_shrinkage
 from mpshrink import identities
 from mpshrink.identities import (
     FD_GRID,
@@ -41,7 +44,7 @@ from mpshrink.identities import (
 )
 from mpshrink.randgen import RngStream
 
-from fd_oracles import _central_diff_y, fd_df_dy, fd_div_x, fd_dm_dy, fd_ds_dy
+from fd_oracles import _central_diff_y, dm_dy_loop, fd_df_dy, fd_div_x, fd_dm_dy, fd_ds_dy
 
 
 def smooth_r():
@@ -109,6 +112,40 @@ def test_pinv_locked_and_the_cutoff_rule_share_one_construction(shape, seed):
         assert np.array_equal(getattr(by_cutoff, name), getattr(locked, name)), name
 
 
+@pytest.mark.parametrize("p,n", FD_GRID + ((7, 2), (3, 9)))
+def test_geometry_of_a_locked_stack_gives_each_entrys_bits(p, n):
+    rng = np.random.default_rng(p * 10 + n + 1)
+    x, ys = rng.standard_normal(p), rng.standard_normal((6, n, p))
+    stacked = geometry(x, _pinv_locked(ys))
+    assert stacked.f.shape == (6,)
+    for i, y in enumerate(ys):
+        pr = _pinv_locked(y)
+        one = geometry(x, pr)
+        assert isinstance(one.f, float)
+        want = {"spx": pr.pinv @ x, "psx": pr.projector @ x, "cx": pr.complement @ x}
+        for name, value in want.items():
+            got = getattr(stacked, name)[i].tobytes(), getattr(one, name).tobytes()
+            assert got == (value.tobytes(),) * 2, name
+        assert stacked.f[i] == one.f == float(x @ (pr.pinv @ x))
+
+
+def test_every_locked_pinv_is_read_through_geometry():
+    # S+x, SS+x, (I - SS+)x and F of the rank-locked path come from
+    # estimators.geometry alone, as they do on the cutoff-rule path.
+    locked, read = [], set()
+    for path in sorted(pathlib.Path(identities.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name == "_pinv_locked":
+                locked.append((path.stem, node.lineno, node.col_offset))
+            elif name == "geometry":
+                read.update((path.stem, a.lineno, a.col_offset) for a in node.args)
+    assert locked
+    assert [site for site in locked if site not in read] == []
+
+
 def test_pinv_locked_rejects_a_stack_with_one_degenerate_entry():
     ys = np.random.default_rng(1).standard_normal((3, 2, 4))
     ys[1, 1] = ys[1, 0]  # rank 1 < min(n, p) = 2
@@ -174,11 +211,12 @@ def test_df_dy_out_of_range_term_vanishes_at_full_rank():
     assert np.array_equal(df_dy(x, y), first_term)
 
 
-# The three paths that factor Y through _pinv_locked.
+# The four paths that factor Y through _pinv_locked.
 LOCKED_PATHS = {
     "df_dy": df_dy,
     "dm_dy": dm_dy,
     "trace_grad_identity": lambda x, y: trace_grad_identity(x, y, smooth_r()),
+    "sure_assembly": lambda x, y: _sure_assembly_checks(x, y, smooth_r()),
 }
 
 
@@ -209,6 +247,15 @@ def test_locked_paths_reject_y_wider_than_the_dense_cap(path):
         LOCKED_PATHS[path](np.ones(p), np.ones((1, p)))
 
 
+@pytest.mark.parametrize("path", list(LOCKED_PATHS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_locked_paths_reject_a_non_finite_x(path, bad):
+    x, y = suite_config(5, 3, seed=11)
+    x[2] = bad
+    with pytest.raises(ValueError, match="^x has non-finite entries$"):
+        LOCKED_PATHS[path](x, y)
+
+
 @pytest.mark.parametrize("check", [trace_grad_identity, _sure_assembly_checks])
 def test_locked_f_paths_reject_zero_f(check):
     # x = 0 gives F = 0, where r(F)/F is undefined.
@@ -222,6 +269,22 @@ def test_locked_f_paths_reject_zero_f(check):
 def test_dm_dy_zero_x():
     _, y = suite_config(5, 3, seed=3)
     assert np.array_equal(dm_dy(np.zeros(5), y), np.zeros((3, 5, 5, 5)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    shape=st.sampled_from(FD_GRID + ((9, 4), (3, 9))),
+    seed=st.integers(0, 2**32 - 1),
+    zero_x=st.booleans(),
+)
+def test_dm_dy_equals_the_term_by_term_loop(shape, seed, zero_x):
+    # Bit for bit, signed zeros included: the whole-array terms keep the
+    # loop's products, the order of its sums and its scalar placement.
+    p, n = shape
+    x, y = suite_config(p, n, seed)
+    if zero_x:
+        x = np.zeros(p)
+    assert dm_dy(x, y).tobytes() == dm_dy_loop(x, y).tobytes()
 
 
 @pytest.mark.parametrize("p,n", FD_GRID)
@@ -463,6 +526,11 @@ def test_finiteness_probe_without_curve():
     assert summary.all_finite
 
 
+def test_finiteness_probe_names_sigma_and_p():
+    with pytest.raises(linalg.DimensionMismatchError, match=r"^sigma is 4 x 4 but p = 5$"):
+        finiteness_probe(5, 3, np.eye(4))
+
+
 def test_finiteness_probe_validation():
     with pytest.raises(ValueError):
         finiteness_probe(5, 3, np.eye(5), replicates=0)
@@ -495,6 +563,12 @@ def test_sample_identity_config_respects_thresholds():
         gap = w[k - 1] - (w[k] if k < p else 0.0)
         assert gap >= 1e-6 * max(w[0], 1.0)
         assert float(x @ _pinv_locked(y).pinv @ x) >= 1e-6
+
+
+@pytest.mark.parametrize("p,n", [(5, 0), (0, 3), (-1, 3)])
+def test_sample_identity_config_rejects_an_empty_shape(p, n):
+    with pytest.raises(ValueError, match=f"^p and n must be at least 1, got p={p}, n={n}$"):
+        sample_identity_config(p, n, np.random.default_rng(0))
 
 
 def test_sample_identity_config_deterministic():
